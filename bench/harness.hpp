@@ -241,49 +241,57 @@ inline ExpResult run_experiment(const ExpParams& params) {
   return out;
 }
 
-/// When PDC_BENCH_JSON names a file, every experiment point appends one
-/// JSON object (JSONL) so suites can be post-processed without scraping the
-/// human-readable tables.
-inline void emit_json_row(const ExpParams& params, const ExpResult& r) {
+/// When PDC_BENCH_JSON names a file, appends `row` to it as one JSON line
+/// (JSONL), so suites can be post-processed without scraping the
+/// human-readable tables.  Every bench row goes through here.
+inline void append_json_row(const obs::Json& row) {
   const char* path = std::getenv("PDC_BENCH_JSON");
   if (!path || !*path) return;
-  std::string row = "{";
-  row += "\"label\": \"" + obs::json_escape(params.label) + "\"";
-  row += ", \"p\": " + std::to_string(params.p);
-  row += ", \"records\": " + std::to_string(params.records);
-  row += ", \"function\": " + std::to_string(params.function);
-  row += ", \"parallel_time_s\": " + obs::json_number(r.parallel_time);
-  row += ", \"max_compute_s\": " + obs::json_number(r.max_compute);
-  row += ", \"max_comm_s\": " + obs::json_number(r.max_comm);
-  row += ", \"max_io_s\": " + obs::json_number(r.max_io);
-  row += ", \"io_hidden_s\": " + obs::json_number(r.io_hidden);
-  row += ", \"balance\": " + obs::json_number(r.balance);
-  row += ", \"max_idle_s\": " + obs::json_number(r.max_idle);
-  if (r.profiled) {
-    row += ", \"crit_compute_s\": " + obs::json_number(r.crit_compute);
-    row += ", \"crit_comm_s\": " + obs::json_number(r.crit_comm);
-    row += ", \"crit_io_s\": " + obs::json_number(r.crit_io);
-    row += ", \"crit_idle_s\": " + obs::json_number(r.crit_idle);
-    row += ", \"headroom_comm\": " + obs::json_number(r.headroom_comm);
-    row += ", \"headroom_io\": " + obs::json_number(r.headroom_io);
-    row += ", \"headroom_balance\": " + obs::json_number(r.headroom_balance);
-  }
-  row += ", \"bytes_read\": " + std::to_string(r.bytes_read);
-  row += ", \"bytes_written\": " + std::to_string(r.bytes_written);
-  row += ", \"io_ops\": " + std::to_string(r.io_ops);
-  row += ", \"records_redistributed\": " +
-         std::to_string(r.records_redistributed);
-  row += ", \"tree_nodes\": " + std::to_string(r.tree_nodes);
-  if (r.accuracy >= 0.0) {
-    row += ", \"accuracy\": " + obs::json_number(r.accuracy);
-  }
-  row += "}\n";
+  const std::string line = row.dump() + "\n";
   if (std::FILE* f = std::fopen(path, "ab")) {
-    std::fwrite(row.data(), 1, row.size(), f);
+    std::fwrite(line.data(), 1, line.size(), f);
     std::fclose(f);
   } else {
     std::fprintf(stderr, "bench: cannot append to PDC_BENCH_JSON=%s\n", path);
   }
+}
+
+/// A JSON number.  Counts travel as doubles, exact up to 2^53, so %.17g
+/// prints them as the same integers.
+template <class V>
+obs::Json json_num(V v) {
+  return obs::Json::make_number(static_cast<double>(v));
+}
+
+inline void emit_json_row(const ExpParams& params, const ExpResult& r) {
+  obs::Json row = obs::Json::make_object();
+  row.set("label", obs::Json::make_string(params.label));
+  row.set("p", json_num(params.p));
+  row.set("records", json_num(params.records));
+  row.set("function", json_num(params.function));
+  row.set("parallel_time_s", json_num(r.parallel_time));
+  row.set("max_compute_s", json_num(r.max_compute));
+  row.set("max_comm_s", json_num(r.max_comm));
+  row.set("max_io_s", json_num(r.max_io));
+  row.set("io_hidden_s", json_num(r.io_hidden));
+  row.set("balance", json_num(r.balance));
+  row.set("max_idle_s", json_num(r.max_idle));
+  if (r.profiled) {
+    row.set("crit_compute_s", json_num(r.crit_compute));
+    row.set("crit_comm_s", json_num(r.crit_comm));
+    row.set("crit_io_s", json_num(r.crit_io));
+    row.set("crit_idle_s", json_num(r.crit_idle));
+    row.set("headroom_comm", json_num(r.headroom_comm));
+    row.set("headroom_io", json_num(r.headroom_io));
+    row.set("headroom_balance", json_num(r.headroom_balance));
+  }
+  row.set("bytes_read", json_num(r.bytes_read));
+  row.set("bytes_written", json_num(r.bytes_written));
+  row.set("io_ops", json_num(r.io_ops));
+  row.set("records_redistributed", json_num(r.records_redistributed));
+  row.set("tree_nodes", json_num(r.tree_nodes));
+  if (r.accuracy >= 0.0) row.set("accuracy", json_num(r.accuracy));
+  append_json_row(row);
 }
 
 }  // namespace pdc::bench

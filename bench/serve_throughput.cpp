@@ -10,25 +10,25 @@
 //   serve/replicas/r=N     the real pdc::serve Server: N replica workers
 //                          fed by the closed-loop load generator
 //
-// Every point appends a JSONL row via PDC_BENCH_JSON with records_per_s
-// and the host's hardware thread count; scripts/check_bench.py --serve
-// gates compiled-batch >= 5x interpreted (single thread) and replica
-// scaling efficiency >= 0.7 at r=4 normalized by min(4, hw_threads), so
-// the gate stays meaningful on small CI hosts.
+// Every point appends a JSONL row via PDC_BENCH_JSON with records_per_s,
+// the wall seconds of the reported repetition and the host's hardware
+// thread count; scripts/check_bench.py --serve gates compiled-batch >= 5x
+// interpreted (single thread) and replica scaling efficiency >= 0.7 at r=4
+// normalized by min(4, hw_threads), so the gate stays meaningful on small
+// CI hosts.
 //
 // Wall time, not the modeled clock: serving sits outside the SPMD cost
 // model; the claim here is a real machine-throughput ratio.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "clouds/builder.hpp"
 #include "data/agrawal.hpp"
+#include "harness.hpp"
 #include "obs/json.hpp"
 #include "serve/compiled_tree.hpp"
 #include "serve/loadgen.hpp"
@@ -37,6 +37,8 @@
 
 namespace {
 
+using pdc::bench::append_json_row;
+using pdc::bench::json_num;
 using pdc::clouds::CloudsBuilder;
 using pdc::clouds::CloudsConfig;
 using pdc::clouds::DecisionTree;
@@ -44,62 +46,50 @@ using pdc::data::AgrawalGenerator;
 using pdc::data::Record;
 using pdc::serve::CompiledTree;
 using pdc::serve::RecordBlock;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::uint64_t scaled(std::uint64_t records) {
-  if (const char* env = std::getenv("PDC_BENCH_SCALE")) {
-    const double s = std::atof(env);
-    if (s > 0) {
-      return static_cast<std::uint64_t>(static_cast<double>(records) * s);
-    }
-  }
-  return records;
-}
+using pdc::serve::wall_seconds;
 
 unsigned hw_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
 
-void emit_row(const std::string& label, const std::string& mode, int threads,
-              std::uint64_t records, double wall_s, double records_per_s) {
-  const char* path = std::getenv("PDC_BENCH_JSON");
-  if (!path || !*path) return;
-  std::string row = "{";
-  row += "\"label\": \"" + pdc::obs::json_escape(label) + "\"";
-  row += ", \"mode\": \"" + pdc::obs::json_escape(mode) + "\"";
-  row += ", \"threads\": " + std::to_string(threads);
-  row += ", \"hw_threads\": " + std::to_string(hw_threads());
-  row += ", \"records\": " + std::to_string(records);
-  row += ", \"wall_s\": " + pdc::obs::json_number(wall_s);
-  row += ", \"records_per_s\": " + pdc::obs::json_number(records_per_s);
-  row += "}\n";
-  if (std::FILE* f = std::fopen(path, "ab")) {
-    std::fwrite(row.data(), 1, row.size(), f);
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "bench: cannot append to PDC_BENCH_JSON=%s\n", path);
+/// The fastest of several repetitions: its throughput and wall seconds.
+struct Best {
+  double records_per_s = 0.0;
+  double wall_s = 0.0;
+
+  void consider(double rps, double seconds) {
+    if (rps > records_per_s) {
+      records_per_s = rps;
+      wall_s = seconds;
+    }
   }
+};
+
+pdc::obs::Json serve_row(const std::string& label, const std::string& mode,
+                         int threads, std::uint64_t records, const Best& best) {
+  pdc::obs::Json row = pdc::obs::Json::make_object();
+  row.set("label", pdc::obs::Json::make_string(label));
+  row.set("mode", pdc::obs::Json::make_string(mode));
+  row.set("threads", json_num(threads));
+  row.set("hw_threads", json_num(hw_threads()));
+  row.set("records", json_num(records));
+  row.set("wall_s", json_num(best.wall_s));
+  row.set("records_per_s", json_num(best.records_per_s));
+  return row;
 }
 
-/// Best-of-`reps` records/s for `body(records)`; the sink defeats
+/// Best-of-`reps` for `body()` over `records` records; the sink defeats
 /// dead-code elimination of the prediction loops.
 template <typename Body>
-double best_rps(int reps, std::uint64_t records, Body&& body,
-                std::uint64_t* sink) {
-  double best = 0.0;
+Best best_of(int reps, std::uint64_t records, Body&& body,
+             std::uint64_t* sink) {
+  Best best;
   for (int rep = 0; rep < reps; ++rep) {
-    const double t0 = now_s();
+    const double t0 = wall_seconds();
     *sink += body();
-    const double dt = now_s() - t0;
-    if (dt > 0.0) {
-      best = std::max(best, static_cast<double>(records) / dt);
-    }
+    const double dt = wall_seconds() - t0;
+    if (dt > 0.0) best.consider(static_cast<double>(records) / dt, dt);
   }
   return best;
 }
@@ -107,8 +97,8 @@ double best_rps(int reps, std::uint64_t records, Body&& body,
 }  // namespace
 
 int main() {
-  const std::uint64_t n_train = scaled(2'000'000);
-  const std::uint64_t n_serve = scaled(200'000);
+  const std::uint64_t n_train = pdc::bench::scaled(2'000'000);
+  const std::uint64_t n_serve = pdc::bench::scaled(200'000);
   constexpr int kReps = 3;
   constexpr std::size_t kBatch = 2048;
 
@@ -135,7 +125,7 @@ int main() {
 
   std::uint64_t sink = 0;
 
-  const double rps_interp = best_rps(
+  const Best interp = best_of(
       kReps, n_serve,
       [&] {
         std::uint64_t acc = 0;
@@ -145,10 +135,11 @@ int main() {
         return acc;
       },
       &sink);
-  emit_row("serve/interp", "interpreted", 1, n_serve, 0.0, rps_interp);
-  std::printf("%-24s %12.0f records/s\n", "interpreted", rps_interp);
+  append_json_row(serve_row("serve/interp", "interpreted", 1, n_serve, interp));
+  std::printf("%-24s %12.0f records/s\n", "interpreted",
+              interp.records_per_s);
 
-  const double rps_single = best_rps(
+  const Best single = best_of(
       kReps, n_serve,
       [&] {
         std::uint64_t acc = 0;
@@ -158,29 +149,31 @@ int main() {
         return acc;
       },
       &sink);
-  emit_row("serve/compiled/single", "compiled-single", 1, n_serve, 0.0,
-           rps_single);
+  append_json_row(serve_row("serve/compiled/single", "compiled-single", 1,
+                            n_serve, single));
   std::printf("%-24s %12.0f records/s (%.1fx interp)\n", "compiled single",
-              rps_single, rps_single / rps_interp);
+              single.records_per_s,
+              single.records_per_s / interp.records_per_s);
 
   std::vector<std::int8_t> out(block.size());
-  const double rps_batch = best_rps(
+  const Best batch = best_of(
       kReps, n_serve,
       [&] {
         compiled.predict_block(block, out);
         return static_cast<std::uint64_t>(out[0]);
       },
       &sink);
-  emit_row("serve/compiled/batch", "compiled-batch", 1, n_serve, 0.0,
-           rps_batch);
+  append_json_row(
+      serve_row("serve/compiled/batch", "compiled-batch", 1, n_serve, batch));
   std::printf("%-24s %12.0f records/s (%.1fx interp)\n", "compiled batch",
-              rps_batch, rps_batch / rps_interp);
+              batch.records_per_s,
+              batch.records_per_s / interp.records_per_s);
 
   // Replica scaling through the real server + closed-loop load generator.
   std::printf("\n");
   double rps_r1 = 0.0;
   for (const int r : {1, 2, 4}) {
-    double best = 0.0;
+    Best best;
     for (int rep = 0; rep < kReps; ++rep) {
       pdc::serve::Server server(
           compiled, {.replicas = r,
@@ -192,13 +185,14 @@ int main() {
       cfg.seed = 505;
       const auto report = pdc::serve::run_loadgen(server, compiled, cfg);
       server.shutdown();
-      best = std::max(best, report.records_per_s);
+      best.consider(report.records_per_s, report.wall_s);
     }
-    if (r == 1) rps_r1 = best;
-    emit_row("serve/replicas/r=" + std::to_string(r), "served", r,
-             n_serve, 0.0, best);
+    if (r == 1) rps_r1 = best.records_per_s;
+    append_json_row(serve_row("serve/replicas/r=" + std::to_string(r),
+                              "served", r, n_serve, best));
     std::printf("served, %d replica%-3s %12.0f records/s (%.2fx r=1)\n", r,
-                r == 1 ? ":" : "s:", best, best / rps_r1);
+                r == 1 ? ":" : "s:", best.records_per_s,
+                best.records_per_s / rps_r1);
   }
 
   std::printf("\n(sink %llu)\n", static_cast<unsigned long long>(sink));

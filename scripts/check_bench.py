@@ -40,11 +40,20 @@ Two standalone modes guard the voting combiner:
     contention-not-collapse check on hosts with fewer than 4 cores
     instead of demanding speedup the hardware cannot give.
 
+--identity SNAPSHOT.jsonl RUN.jsonl
+    The modeled clock is deterministic, so a regenerated row must equal
+    its committed snapshot exactly: for every label present in both
+    files, parallel_time_s, every max_*_s, io_hidden_s, balance,
+    bytes_read/bytes_written, io_ops, records_redistributed, tree_nodes
+    and (when either row has it) accuracy must be equal bit for bit.
+    Fails when the files share no label.
+
 Usage:
     python3 scripts/check_bench.py sync.jsonl pipelined.jsonl [profiled.jsonl]
     python3 scripts/check_bench.py --voting BENCH.jsonl
     python3 scripts/check_bench.py --drift DRIFT.json
     python3 scripts/check_bench.py --serve BENCH.jsonl
+    python3 scripts/check_bench.py --identity SNAPSHOT.jsonl RUN.jsonl
 """
 
 import json
@@ -268,10 +277,41 @@ def check_serve(path):
     return failures
 
 
-def run_flag_mode(flag, path):
+IDENTITY_FIELDS = ("parallel_time_s", "io_hidden_s", "balance", "bytes_read",
+                   "bytes_written", "io_ops", "records_redistributed",
+                   "tree_nodes")
+
+
+def check_identity(snapshot_path, run_path):
+    """Modeled fields of shared labels must match the snapshot exactly."""
+    snapshot = load(snapshot_path)
+    run = load(run_path)
+    shared = sorted(set(snapshot) & set(run))
+    if not shared:
+        return [f"--identity: {snapshot_path} and {run_path} share no label"]
+    failures = []
+    for label in shared:
+        want, got = snapshot[label], run[label]
+        fields = set(IDENTITY_FIELDS)
+        fields |= {k for k in (*want, *got)
+                   if k == "accuracy" or re.fullmatch(r"max_\w+_s", k)}
+        for key in sorted(fields):
+            if key not in want or key not in got:
+                where = run_path if key in want else snapshot_path
+                failures.append(
+                    f"--identity: {label}: {key} missing from {where}")
+            elif want[key] != got[key]:
+                failures.append(f"--identity: {label}: {key} = {got[key]!r}, "
+                                f"snapshot has {want[key]!r}")
+    print(f"identity: {len(shared)} shared label(s), "
+          f"{len(failures)} mismatched field(s)")
+    return failures
+
+
+def run_flag_mode(flag, paths):
     checks = {"--voting": check_voting, "--drift": check_drift,
-              "--serve": check_serve}
-    failures = checks[flag](path)
+              "--serve": check_serve, "--identity": check_identity}
+    failures = checks[flag](*paths)
     if failures:
         print("\ncheck_bench: FAIL", file=sys.stderr)
         for f in failures:
@@ -284,7 +324,9 @@ def run_flag_mode(flag, path):
 def main() -> int:
     if len(sys.argv) == 3 and sys.argv[1] in ("--voting", "--drift",
                                               "--serve"):
-        return run_flag_mode(sys.argv[1], sys.argv[2])
+        return run_flag_mode(sys.argv[1], sys.argv[2:])
+    if len(sys.argv) == 4 and sys.argv[1] == "--identity":
+        return run_flag_mode(sys.argv[1], sys.argv[2:])
     if len(sys.argv) not in (3, 4):
         sys.exit(__doc__)
     sync = load(sys.argv[1])

@@ -60,7 +60,9 @@ def find_headers(paths):
         for dirpath, _, names in os.walk(path):
             for name in sorted(names):
                 if name.endswith(".hpp"):
-                    headers.append(os.path.join(dirpath, name))
+                    # Absolute: the generated TU lives in a temp directory.
+                    headers.append(os.path.abspath(os.path.join(dirpath,
+                                                                name)))
     return sorted(set(headers))
 
 

@@ -14,8 +14,8 @@ before anything runs, with three interprocedural checks:
 
   PDA200 unbounded-materialization
       Per-record container growth (push_back/emplace_back/insert on a
-      container that escapes the loop) inside a RecordSource/BlockReader
-      scan loop.  Out-of-core discipline allows only the pre-drawn sample,
+      container that escapes the loop) inside a scan callback or a
+      BlockReader loop.  Out-of-core discipline allows only the pre-drawn sample,
       interval histograms, and small-node direct-method buffers to be
       resident; those sites carry a `// pdc: incore(reason)` annotation
       and are inventoried (not flagged) in the report.
@@ -584,10 +584,10 @@ def scan_regions(code: str):
     scan(...) call, and loops that consume BlockReader::next_block."""
     regions = []
     # Any *scan*-named call taking a lambda, including the curried
-    # make_scan(file, block)([&](const T& rec) { ... }) form the dc driver
-    # uses.  A scan callback bound to a named variable first is invisible
-    # to the reduced mode (documented limitation).
-    for m in re.finditer(r"\b([A-Za-z_]\w*)\s*\(", code):
+    # io::file_scan<T>(disk, file, block, cfg)([&](const T& rec) { ... })
+    # form the dc driver uses.  A scan callback bound to a named variable
+    # first is invisible to the reduced mode (documented limitation).
+    for m in re.finditer(r"\b([A-Za-z_]\w*)\s*(?:<[^;(]*>)?\s*\(", code):
         if "scan" not in m.group(1):
             continue
         close = match_paren(code, m.end() - 1)

@@ -45,7 +45,7 @@ bool CloudsBuilder::should_stop(const data::ClassCounts& counts,
 }
 
 SplitCandidate CloudsBuilder::derive_split(
-    RecordSource& source, std::span<const data::Record> sample,
+    const io::Scan<data::Record>& scan, std::span<const data::Record> sample,
     std::span<const data::Record> records_if_memory,
     std::uint64_t node_records, std::uint64_t root_records) {
   if (cfg_.method == SplitMethod::kDirect) {
@@ -59,14 +59,18 @@ SplitCandidate CloudsBuilder::derive_split(
 
   const int q = cfg_.q_for(node_records, root_records);
   NodeStats stats = NodeStats::with_boundaries(sample, q);
-  collect_stats(source, stats, hooks_);
+  {
+    auto sp = hooks_.span("histogram-build", "clouds");
+    collect_stats(scan, stats, hooks_);
+    sp.set_n(node_records);
+  }
   stats_.records_scanned += node_records;
 
   if (cfg_.method == SplitMethod::kSS) {
     return ss_split(stats, hooks_);
   }
   SseDiag diag;
-  auto best = sse_split(stats, source, hooks_, &diag);
+  auto best = sse_split(stats, scan, hooks_, &diag);
   if (stats_.survival_samples == 0) stats_.root_survival = diag.survival;
   stats_.survival_sum += diag.survival;
   ++stats_.survival_samples;
@@ -91,9 +95,12 @@ void CloudsBuilder::build_subtree_in_core(DecisionTree& tree, InCoreTask task,
       continue;
     }
 
-    MemorySource source(t.data);
-    const auto best =
-        derive_split(source, t.sample, t.data, t.data.size(), root_records);
+    const std::span<const data::Record> records = t.data;
+    const auto best = derive_split(
+        [records](const auto& visit) {
+          for (const auto& r : records) visit(r);
+        },
+        t.sample, records, records.size(), root_records);
     // Require an actual partition: both sides non-empty.
     if (!best.valid) {
       ++stats_.leaves;
@@ -168,13 +175,11 @@ DecisionTree CloudsBuilder::build_out_of_core(io::LocalDisk& disk,
   // Root class counts need one cheap pass (later nodes inherit counts from
   // the parent's partitioning step).
   data::ClassCounts root_counts{};
-  {
-    DiskSource src(disk, file, block, cfg_.pipeline);
-    src.scan([&](const data::Record& r) {
-      ++root_counts[static_cast<std::size_t>(r.label)];
-      hooks_.charge_scan(1);
-    });
-  }
+  io::file_scan<data::Record>(disk, file, block,
+                              cfg_.pipeline)([&](const data::Record& r) {
+    ++root_counts[static_cast<std::size_t>(r.label)];
+    hooks_.charge_scan(1);
+  });
 
   DecisionTree tree(root_counts);
   std::deque<DiskTask> queue;
@@ -211,9 +216,9 @@ DecisionTree CloudsBuilder::build_out_of_core(io::LocalDisk& disk,
     ++stats_.nodes_processed;
     ++stats_.out_of_core_nodes;
 
-    DiskSource source(disk, t.file, block, cfg_.pipeline);
-    const auto best =
-        derive_split(source, t.sample, {}, n, root_records);
+    const auto scan =
+        io::file_scan<data::Record>(disk, t.file, block, cfg_.pipeline);
+    const auto best = derive_split(scan, t.sample, {}, n, root_records);
     if (!best.valid) {
       ++stats_.leaves;
       if (t.file != file) disk.remove(t.file);
@@ -231,8 +236,7 @@ DecisionTree CloudsBuilder::build_out_of_core(io::LocalDisk& disk,
     {
       io::BlockWriter<data::Record> lw(disk, lfile, block, cfg_.pipeline);
       io::BlockWriter<data::Record> rw(disk, rfile, block, cfg_.pipeline);
-      DiskSource reread(disk, t.file, block, cfg_.pipeline);
-      reread.scan([&](const data::Record& r) {
+      scan([&](const data::Record& r) {
         if (best.split.goes_left(r)) {
           lw.append(r);
           ++lcounts[static_cast<std::size_t>(r.label)];

@@ -113,7 +113,7 @@ class CloudsBuilder {
   };
 
   bool should_stop(const data::ClassCounts& counts, std::int32_t depth) const;
-  SplitCandidate derive_split(RecordSource& source,
+  SplitCandidate derive_split(const io::Scan<data::Record>& scan,
                               std::span<const data::Record> sample,
                               std::span<const data::Record> records_if_memory,
                               std::uint64_t node_records,

@@ -1,7 +1,7 @@
 #include "clouds/prune.hpp"
 
 #include <cmath>
-#include <functional>
+#include <vector>
 
 #include "data/record.hpp"
 
@@ -22,28 +22,35 @@ double mdl_leaf_cost(const data::ClassCounts& counts) {
 }
 
 PruneStats mdl_prune(DecisionTree& tree, const PruneConfig& cfg) {
+  const auto order = tree.preorder(tree.root());
   PruneStats stats;
-  stats.nodes_before = tree.live_count();
+  stats.nodes_before = order.size();
   const double split_bits =
       std::log2(static_cast<double>(data::kNumAttributes)) +
       cfg.split_value_bits;
 
-  // Returns the MDL cost of the (possibly pruned) subtree rooted at id.
-  std::function<double(std::int32_t)> prune_walk =
-      [&](std::int32_t id) -> double {
-    const double leaf_cost = mdl_leaf_cost(tree.node(id).counts);
-    if (tree.node(id).leaf) return leaf_cost;
-    const double subtree_cost = 1.0 + split_bits +
-                                prune_walk(tree.node(id).left) +
-                                prune_walk(tree.node(id).right);
-    if (leaf_cost <= subtree_cost) {
-      tree.collapse(id);
-      ++stats.collapsed;
-      return leaf_cost;
+  // Bottom-up: the reversed preorder reaches both children before their
+  // parent, so cost[] holds the MDL cost of each (possibly pruned) child
+  // subtree by the time its parent decides.
+  std::vector<double> cost(tree.node_count(), 0.0);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const std::int32_t id = *it;
+    const TreeNode& n = tree.node(id);
+    const double leaf_cost = mdl_leaf_cost(n.counts);
+    double best = leaf_cost;
+    if (!n.leaf) {
+      const double subtree_cost =
+          1.0 + split_bits + cost[static_cast<std::size_t>(n.left)] +
+          cost[static_cast<std::size_t>(n.right)];
+      if (leaf_cost <= subtree_cost) {
+        tree.collapse(id);
+        ++stats.collapsed;
+      } else {
+        best = subtree_cost;
+      }
     }
-    return subtree_cost;
-  };
-  prune_walk(tree.root());
+    cost[static_cast<std::size_t>(id)] = best;
+  }
   stats.nodes_after = tree.live_count();
   return stats;
 }

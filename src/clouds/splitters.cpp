@@ -25,16 +25,14 @@ void NodeStats::add(const data::Record& r) {
   ++counts[static_cast<std::size_t>(r.label)];
 }
 
-void collect_stats(RecordSource& source, NodeStats& stats,
+void collect_stats(const io::Scan<data::Record>& scan, NodeStats& stats,
                    const CostHooks& hooks) {
-  auto sp = hooks.span("histogram-build", "clouds");
   // Per-record charging (not one bulk charge after the pass) so compute
   // accrues between block reaps — what the async pipeline hides I/O under.
-  source.scan([&](const data::Record& r) {
+  scan([&](const data::Record& r) {
     stats.add(r);
     hooks.charge_scan(static_cast<std::uint64_t>(data::kNumAttributes));
   });
-  sp.set_n(source.count());
 }
 
 SplitCandidate evaluate_boundaries(const IntervalHist& hist, int attr,
@@ -159,7 +157,8 @@ SplitCandidate evaluate_alive_interval(const AliveInterval& iv,
   return best;
 }
 
-SplitCandidate sse_split(const NodeStats& stats, RecordSource& source,
+SplitCandidate sse_split(const NodeStats& stats,
+                         const io::Scan<data::Record>& scan,
                          const CostHooks& hooks, SseDiag* diag) {
   SplitCandidate best = ss_split(stats, hooks);
   const double gini_boundary = best.valid
@@ -173,19 +172,13 @@ SplitCandidate sse_split(const NodeStats& stats, RecordSource& source,
     // Second pass: harvest the points that fall inside alive intervals.
     obs::MemCharge harvest_mem(hooks.mem, 0);
     std::vector<std::vector<AlivePoint>> buckets(alive.size());
-    source.scan([&](const data::Record& r) {
-      for (std::size_t k = 0; k < alive.size(); ++k) {
-        const float v =
-            r.num[static_cast<std::size_t>(alive[k].attr)];
-        if (alive[k].contains(v)) {
-          // pdc: incore(alive point harvest: survival-bounded, one bucket per interval, freed after evaluation)
-          buckets[k].push_back({v, r.label});
-          harvest_mem.add(sizeof(AlivePoint));
-          ++harvested;
-        }
-      }
-      hooks.charge_scan(alive.size());
-    });
+    scan_alive(scan, alive, hooks,
+               [&](std::size_t k, float v, std::int8_t label) {
+                 // pdc: incore(alive point harvest: survival-bounded, one bucket per interval, freed after evaluation)
+                 buckets[k].push_back({v, label});
+                 harvest_mem.add(sizeof(AlivePoint));
+                 ++harvested;
+               });
 
     for (std::size_t k = 0; k < alive.size(); ++k) {
       best.consider(

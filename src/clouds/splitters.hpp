@@ -6,8 +6,8 @@
 // and as the quality baseline.
 //
 // All three consume a NodeStats built by collect_stats() in one sequential
-// pass over the node's data; SSE makes one further pass to gather the
-// points of alive intervals.
+// pass over the node's data; SSE makes one further pass (scan_alive()) to
+// gather the points of alive intervals.
 
 #include <cstdint>
 #include <span>
@@ -17,9 +17,9 @@
 #include "clouds/categorical.hpp"
 #include "clouds/cost_hooks.hpp"
 #include "clouds/intervals.hpp"
-#include "clouds/record_source.hpp"
 #include "clouds/split.hpp"
 #include "data/record.hpp"
+#include "io/pipeline.hpp"
 
 namespace pdc::clouds {
 
@@ -38,9 +38,10 @@ struct NodeStats {
   void add(const data::Record& r);
 };
 
-/// One pass over `source`, filling `stats` (whose boundaries must already be
-/// set).  This is the paper's "evaluation of interval boundaries" data scan.
-void collect_stats(RecordSource& source, NodeStats& stats,
+/// One pass over `scan`, filling `stats` (whose boundaries must already be
+/// set).  This is the paper's "evaluation of interval boundaries" data scan,
+/// run by the sequential builder and by pCLOUDS alike.
+void collect_stats(const io::Scan<data::Record>& scan, NodeStats& stats,
                    const CostHooks& hooks);
 
 /// Best split among the interval boundaries of one numeric attribute.
@@ -89,6 +90,23 @@ struct AlivePoint {
   std::int8_t label;
 };
 
+/// SSE's harvest pass: calls `take(k, value, label)` for every record value
+/// that falls inside alive interval `alive[k]`, charging one scan step per
+/// alive interval per record.  The only alive-harvest loop: sse_split()
+/// buckets the points locally, pCLOUDS routes them to interval owners.
+template <class Take>
+void scan_alive(const io::Scan<data::Record>& scan,
+                std::span<const AliveInterval> alive, const CostHooks& hooks,
+                Take&& take) {
+  scan([&](const data::Record& r) {
+    for (std::size_t k = 0; k < alive.size(); ++k) {
+      const float v = r.num[static_cast<std::size_t>(alive[k].attr)];
+      if (alive[k].contains(v)) take(k, v, r.label);
+    }
+    hooks.charge_scan(alive.size());
+  });
+}
+
 /// Exact evaluation of one alive interval given its harvested points:
 /// sorts them and computes gini at every distinct value.
 SplitCandidate evaluate_alive_interval(const AliveInterval& iv,
@@ -105,8 +123,9 @@ struct SseDiag {
 };
 
 /// The full sequential SSE method: boundary evaluation, aliveness, one
-/// extra pass over `source` to harvest alive points, exact re-evaluation.
-SplitCandidate sse_split(const NodeStats& stats, RecordSource& source,
+/// extra pass over `scan` to harvest alive points, exact re-evaluation.
+SplitCandidate sse_split(const NodeStats& stats,
+                         const io::Scan<data::Record>& scan,
                          const CostHooks& hooks, SseDiag* diag = nullptr);
 
 /// Direct method: sort every numeric attribute and evaluate gini at every

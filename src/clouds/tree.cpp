@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <functional>
 #include <sstream>
 
 #include "common/wire.hpp"
@@ -13,12 +12,17 @@ namespace pdc::clouds {
 namespace {
 
 // Structural validation of a deserialized node arena.  The bytes may
-// come from a corrupt model file or checkpoint blob, so every field that
-// later feeds an array index or a tree walk is range-checked before the
-// arena is adopted.  bool/enum octets are inspected as raw bytes: a
-// flipped bit must be rejected here, not loaded through a bool lvalue.
+// come from a corrupt model file, checkpoint blob or subtree message, so
+// every field that later feeds an array index or a tree walk is
+// range-checked before the arena is adopted.  bool/enum octets are
+// inspected as raw bytes: a flipped bit must be rejected here, not loaded
+// through a bool lvalue.
 void validate_arena(const std::vector<TreeNode>& nodes) {
   const auto count = static_cast<std::int32_t>(nodes.size());
+  // At most one parent per node: a child shared by two links would make
+  // every walk, and the compiled serve layout, exponential in the arena
+  // size.  collapse() leaves orphans, so no parent at all is fine.
+  std::vector<std::uint8_t> has_parent(nodes.size(), 0);
   for (std::int32_t i = 0; i < count; ++i) {
     const TreeNode& n = nodes[static_cast<std::size_t>(i)];
     std::uint8_t leaf_byte = 0;
@@ -47,6 +51,13 @@ void validate_arena(const std::vector<TreeNode>& nodes) {
     if (n.left <= i || n.left >= count || n.right <= i ||
         n.right >= count) {
       throw WireError("DecisionTree: child index out of range");
+    }
+    for (const std::int32_t child : {n.left, n.right}) {
+      auto& seen = has_parent[static_cast<std::size_t>(child)];
+      if (seen != 0) {
+        throw WireError("DecisionTree: node has more than one parent");
+      }
+      seen = 1;
     }
   }
 }
@@ -120,44 +131,39 @@ double DecisionTree::accuracy(std::span<const data::Record> records) const {
   return static_cast<double>(correct) / static_cast<double>(records.size());
 }
 
-std::size_t DecisionTree::leaf_count() const {
-  std::size_t leaves = 0;
-  std::function<void(std::int32_t)> walk = [&](std::int32_t id) {
-    if (node(id).leaf) {
-      ++leaves;
-    } else {
-      walk(node(id).left);
-      walk(node(id).right);
+std::vector<std::int32_t> DecisionTree::preorder(std::int32_t from) const {
+  std::vector<std::int32_t> order;
+  std::vector<std::int32_t> stack{from};
+  while (!stack.empty()) {
+    const std::int32_t id = stack.back();
+    stack.pop_back();
+    order.push_back(id);
+    const TreeNode& n = node(id);
+    if (!n.leaf) {
+      stack.push_back(n.right);  // popped after the whole left subtree
+      stack.push_back(n.left);
     }
-  };
-  walk(root());
-  return leaves;
+  }
+  return order;
+}
+
+std::size_t DecisionTree::leaf_count() const {
+  const auto order = preorder(root());
+  return static_cast<std::size_t>(
+      std::count_if(order.begin(), order.end(),
+                    [&](std::int32_t id) { return node(id).leaf; }));
 }
 
 std::int32_t DecisionTree::max_depth() const {
   std::int32_t deepest = 0;
-  std::function<void(std::int32_t)> walk = [&](std::int32_t id) {
+  for (const std::int32_t id : preorder(root())) {
     deepest = std::max(deepest, node(id).depth);
-    if (!node(id).leaf) {
-      walk(node(id).left);
-      walk(node(id).right);
-    }
-  };
-  walk(root());
+  }
   return deepest;
 }
 
 std::size_t DecisionTree::live_count() const {
-  std::size_t n = 0;
-  std::function<void(std::int32_t)> walk = [&](std::int32_t id) {
-    ++n;
-    if (!node(id).leaf) {
-      walk(node(id).left);
-      walk(node(id).right);
-    }
-  };
-  walk(root());
-  return n;
+  return preorder(root()).size();
 }
 
 // pdc: nonwire(bulk decoder: adopts the serialized arena wholesale after
@@ -175,6 +181,9 @@ void DecisionTree::graft(std::int32_t at, const std::vector<TreeNode>& sub) {
   if (!node(at).leaf) {
     throw std::logic_error("DecisionTree::graft: target must be a leaf");
   }
+  // `sub` arrives from a checkpoint or another processor group: it must
+  // be a tree in the layout extract() emits before it joins the arena.
+  validate_arena(sub);
   const auto offset = static_cast<std::int32_t>(nodes_.size());
   const std::int32_t base_depth = node(at).depth;
 
@@ -199,28 +208,28 @@ void DecisionTree::graft(std::int32_t at, const std::vector<TreeNode>& sub) {
 
 std::vector<TreeNode> DecisionTree::extract(std::int32_t at) const {
   // graft() expects: sub[0] is the root; an internal sub[i] has children at
-  // sub-array indices left/right (>= 1).  Emit in preorder and patch child
-  // links as we go.
+  // sub-array indices left/right (>= 1).  Emit in preorder and re-index the
+  // child links to the copies' positions.
+  const auto order = preorder(at);
+  std::vector<std::int32_t> pos(nodes_.size(), -1);
   std::vector<TreeNode> out;
-  std::function<std::int32_t(std::int32_t)> copy =
-      [&](std::int32_t id) -> std::int32_t {
-    const auto pos = static_cast<std::int32_t>(out.size());
+  out.reserve(order.size());
+  for (const std::int32_t id : order) {
+    pos[static_cast<std::size_t>(id)] = static_cast<std::int32_t>(out.size());
     out.push_back(node(id));
-    if (!node(id).leaf) {
-      const auto l = copy(node(id).left);
-      const auto r = copy(node(id).right);
-      out[static_cast<std::size_t>(pos)].left = l;
-      out[static_cast<std::size_t>(pos)].right = r;
+  }
+  for (TreeNode& n : out) {
+    if (!n.leaf) {
+      n.left = pos[static_cast<std::size_t>(n.left)];
+      n.right = pos[static_cast<std::size_t>(n.right)];
     }
-    return pos;
-  };
-  copy(at);
+  }
   return out;
 }
 
 std::string DecisionTree::to_string() const {
   std::ostringstream out;
-  std::function<void(std::int32_t)> walk = [&](std::int32_t id) {
+  for (const std::int32_t id : preorder(root())) {
     const TreeNode& n = node(id);
     for (int d = 0; d < n.depth; ++d) out << "  ";
     if (n.leaf) {
@@ -229,29 +238,24 @@ std::string DecisionTree::to_string() const {
         out << (k ? "," : "") << n.counts[static_cast<std::size_t>(k)];
       }
       out << "]\n";
+    } else if (n.split.kind == Split::Kind::kNumeric) {
+      out << data::kNumericNames[static_cast<std::size_t>(n.split.attr)]
+          << " <= " << n.split.threshold << "\n";
     } else {
-      if (n.split.kind == Split::Kind::kNumeric) {
-        out << data::kNumericNames[static_cast<std::size_t>(n.split.attr)]
-            << " <= " << n.split.threshold << "\n";
-      } else {
-        out << data::kCatNames[static_cast<std::size_t>(n.split.attr)]
-            << " in {";
-        bool first = true;
-        for (int v = 0;
-             v < data::kCatCardinality[static_cast<std::size_t>(n.split.attr)];
-             ++v) {
-          if ((n.split.subset >> v) & 1u) {
-            out << (first ? "" : ",") << v;
-            first = false;
-          }
+      out << data::kCatNames[static_cast<std::size_t>(n.split.attr)]
+          << " in {";
+      bool first = true;
+      for (int v = 0;
+           v < data::kCatCardinality[static_cast<std::size_t>(n.split.attr)];
+           ++v) {
+        if ((n.split.subset >> v) & 1u) {
+          out << (first ? "" : ",") << v;
+          first = false;
         }
-        out << "}\n";
       }
-      walk(n.left);
-      walk(n.right);
+      out << "}\n";
     }
-  };
-  walk(root());
+  }
   return out.str();
 }
 

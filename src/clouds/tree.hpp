@@ -52,6 +52,12 @@ class DecisionTree {
   /// Fraction of records whose label the tree predicts correctly.
   double accuracy(std::span<const data::Record> records) const;
 
+  /// Ids of the nodes reachable from `from` in preorder: a node, then its
+  /// left subtree, then its right.  This is the one tree walk; it keeps an
+  /// explicit stack, so no arena depth can overflow the call stack.  Read
+  /// backwards, it visits every child before its parent.
+  std::vector<std::int32_t> preorder(std::int32_t from) const;
+
   std::size_t leaf_count() const;
   std::size_t internal_count() const { return live_count() - leaf_count(); }
   std::int32_t max_depth() const;
@@ -92,7 +98,8 @@ class DecisionTree {
 
   /// Replaces leaf `at` with the (serialized) subtree rooted at `sub[0]`.
   /// Used by pCLOUDS to graft the owner-built subtree of a small node into
-  /// the replicated tree.  Depths are rebased onto `at`'s depth.
+  /// the replicated tree.  Depths are rebased onto `at`'s depth.  `sub` is
+  /// validated like a deserialized arena (WireError if it is not a tree).
   void graft(std::int32_t at, const std::vector<TreeNode>& sub);
 
   /// Serializes the subtree rooted at `at` in the same layout graft()

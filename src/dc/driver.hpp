@@ -138,17 +138,6 @@ class DcDriver {
     return comm.all_reduce<std::uint64_t>(local);
   }
 
-  typename DcProblem<T>::Scan make_scan(const std::string& file,
-                                        std::size_t block) {
-    return [this, file, block](const std::function<void(const T&)>& fn) {
-      io::BlockReader<T> reader(*disk_, file, block, cfg_.pipeline);
-      std::vector<T> buf;
-      while (reader.next_block(buf)) {
-        for (const auto& r : buf) fn(r);
-      }
-    };
-  }
-
   void drop_file(const Pending& p, const std::string& root_file) {
     if (p.file != root_file || !cfg_.preserve_root_file) {
       disk_->remove(p.file);
@@ -187,7 +176,8 @@ class DcDriver {
     {
       io::BlockWriter<T> lw(*disk_, left.file, block, cfg_.pipeline);
       io::BlockWriter<T> rw(*disk_, right.file, block, cfg_.pipeline);
-      make_scan(parent.file, block)([&](const T& rec) {
+      io::file_scan<T>(*disk_, parent.file, block,
+                       cfg_.pipeline)([&](const T& rec) {
         if (router(rec) == 0) {
           lw.append(rec);
           ++ln;
@@ -274,7 +264,8 @@ class DcDriver {
                                cur.task.global_n);
       sp.set_depth(static_cast<std::uint64_t>(cur.task.depth));
       const std::size_t block = budget_.block_records(sizeof(T), 3);
-      auto scan = make_scan(cur.file, block);
+      const auto scan =
+          io::file_scan<T>(*disk_, cur.file, block, cfg_.pipeline);
       const auto local = problem.local_stats(scan, cur.task);
       const auto global = combined_stats(comm, problem, local);
       auto router = problem.decide(comm, global, scan, cur.task);
@@ -315,8 +306,9 @@ class DcDriver {
       std::vector<std::vector<std::byte>> locals(level.size());
       for (std::size_t i = 0; i < level.size(); ++i) {
         if (level[i].task.global_n == 0) continue;
-        auto scan = make_scan(level[i].file, block);
-        locals[i] = problem.local_stats(scan, level[i].task);
+        locals[i] = problem.local_stats(
+            io::file_scan<T>(*disk_, level[i].file, block, cfg_.pipeline),
+            level[i].task);
       }
       auto frames =
           comm.all_to_all_broadcast<std::byte>(frame_blobs(locals));
@@ -340,7 +332,8 @@ class DcDriver {
           continue;
         }
         ++report_.large_tasks;
-        auto scan = make_scan(cur.file, block);
+        const auto scan =
+            io::file_scan<T>(*disk_, cur.file, block, cfg_.pipeline);
         auto router = problem.decide(comm, combined[i], scan, cur.task);
         if (!router) {
           problem.on_leaf(comm, cur.task);
@@ -381,7 +374,7 @@ class DcDriver {
     // One data-parallel split within the group.
     ++report_.large_tasks;
     const std::size_t block = budget_.block_records(sizeof(T), 3);
-    auto scan = make_scan(cur.file, block);
+    const auto scan = io::file_scan<T>(*disk_, cur.file, block, cfg_.pipeline);
     const auto local = problem.local_stats(scan, cur.task);
     const auto global = combined_stats(comm, problem, local);
     auto router = problem.decide(comm, global, scan, cur.task);
@@ -432,7 +425,8 @@ class DcDriver {
     std::vector<std::vector<T>> outgoing(p);
     auto route_child = [&](const Pending& child, int base, int gsize) {
       std::uint64_t k = 0;
-      make_scan(child.file, block)([&](const T& rec) {
+      io::file_scan<T>(*disk_, child.file, block,
+                       cfg_.pipeline)([&](const T& rec) {
         const auto dest = static_cast<std::size_t>(
             base + static_cast<int>(k % static_cast<std::uint64_t>(gsize)));
         // pdc: incore(redistribution staging: holds one local child slice for the subgroup all_to_all exchange)

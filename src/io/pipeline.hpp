@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -141,6 +142,26 @@ class BlockReader {
   std::shared_ptr<std::atomic<bool>> poison_;
   std::deque<Pending> pending_;
 };
+
+/// One sequential pass over a node's records, the library's only spelling
+/// of it: calls the visitor once per record, in stream order.  In-memory
+/// nodes wrap a span in a lambda; file_scan() streams a file.
+template <class T>
+using Scan = std::function<void(const std::function<void(const T&)>&)>;
+
+/// Each call streams file `name` from the start through a fresh reader.
+template <mp::Wireable T>
+Scan<T> file_scan(LocalDisk& disk, std::string name, std::size_t block_records,
+                  const PipelineConfig& cfg = {}) {
+  return [&disk, name = std::move(name), block_records,
+          cfg](const std::function<void(const T&)>& visit) {
+    BlockReader<T> reader(disk, name, block_records, cfg);
+    std::vector<T> block;
+    while (reader.next_block(block)) {
+      for (const auto& r : block) visit(r);
+    }
+  };
+}
 
 /// Appends fixed-size records with background write-behind.  Close (or
 /// destroy) to flush; faults surface on close()/append(), never in the

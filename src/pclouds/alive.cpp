@@ -25,8 +25,8 @@ static_assert(std::is_trivially_copyable_v<WirePoint>);
 AliveOutcome evaluate_alive_parallel(
     mp::Comm& comm, std::span<const clouds::AliveInterval> alive,
     const clouds::SplitCandidate& boundary_best,
-    const data::ClassCounts& node_counts, const LocalScan& scan,
-    const clouds::CostHooks& hooks) {
+    const data::ClassCounts& node_counts,
+    const io::Scan<data::Record>& scan, const clouds::CostHooks& hooks) {
   auto sp = hooks.span("alive-evaluation", "pclouds", alive.size());
   AliveOutcome out;
   out.best = boundary_best;
@@ -46,19 +46,14 @@ AliveOutcome evaluate_alive_parallel(
   obs::MemCharge staged_mem(hooks.mem, 0);
   std::vector<std::vector<WirePoint>> outgoing(
       static_cast<std::size_t>(comm.size()));
-  scan([&](const data::Record& r) {
-    for (std::size_t i = 0; i < alive.size(); ++i) {
-      const float v = r.num[static_cast<std::size_t>(alive[i].attr)];
-      if (alive[i].contains(v)) {
+  clouds::scan_alive(
+      scan, alive, hooks, [&](std::size_t i, float v, std::int8_t label) {
         // pdc: incore(alive point routing: survival-bounded, only in-interval points are staged for the exchange)
         outgoing[static_cast<std::size_t>(assign.owner[i])].push_back(
-            {v, static_cast<std::int32_t>(i), r.label});
+            {v, static_cast<std::int32_t>(i), label});
         staged_mem.add(sizeof(WirePoint));
         ++out.points_shipped;
-      }
-    }
-    hooks.charge_scan(alive.size());
-  });
+      });
 
   const auto incoming = comm.all_to_all<WirePoint>(outgoing);
 

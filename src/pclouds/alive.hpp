@@ -12,12 +12,12 @@
 // intervals to processors".
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "clouds/cost_hooks.hpp"
 #include "clouds/splitters.hpp"
+#include "io/pipeline.hpp"
 #include "mp/comm.hpp"
 
 namespace pdc::pclouds {
@@ -28,13 +28,11 @@ struct AliveOutcome {
   std::uint64_t points_shipped = 0;  ///< this rank's harvested points
 };
 
-using LocalScan =
-    std::function<void(const std::function<void(const data::Record&)>&)>;
-
+/// `scan` is one pass over this rank's slice of the node.
 AliveOutcome evaluate_alive_parallel(
     mp::Comm& comm, std::span<const clouds::AliveInterval> alive,
     const clouds::SplitCandidate& boundary_best,
-    const data::ClassCounts& node_counts, const LocalScan& scan,
-    const clouds::CostHooks& hooks);
+    const data::ClassCounts& node_counts,
+    const io::Scan<data::Record>& scan, const clouds::CostHooks& hooks);
 
 }  // namespace pdc::pclouds

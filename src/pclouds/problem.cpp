@@ -128,10 +128,7 @@ std::vector<std::byte> CloudsProblem::local_stats(const Scan& scan,
   }
 
   if (!ctx.filled) {
-    scan([&](const Record& r) {
-      ctx.local.add(r);
-      hooks_.charge_scan(static_cast<std::uint64_t>(data::kNumAttributes));
-    });
+    clouds::collect_stats(scan, ctx.local, hooks_);
     ctx.filled = true;
   } else if (ctx.prefilled) {
     ++diag_.prefilled_nodes;  // the pass the paper's partitioning saves
@@ -183,10 +180,7 @@ std::optional<CloudsProblem::Router> CloudsProblem::decide(
       hist.bounds = merged.sketches[static_cast<std::size_t>(a)].boundaries(q);
       hist.reset_counts();
     }
-    scan([&](const Record& r) {
-      ctx.local.add(r);
-      hooks_.charge_scan(static_cast<std::uint64_t>(data::kNumAttributes));
-    });
+    clouds::collect_stats(scan, ctx.local, hooks_);
   }
 
   BoundaryDerivation bd;

@@ -1,7 +1,6 @@
 #include "serve/loadgen.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <deque>
 #include <utility>
@@ -12,12 +11,6 @@
 namespace pdc::serve {
 
 namespace {
-
-double wall_seconds() {
-  using WallClock = std::chrono::steady_clock;  // pdc-lint: allow(PDC001) -- load-generator throughput is wall time, outside the modeled timeline
-  return std::chrono::duration<double>(WallClock::now().time_since_epoch())
-      .count();
-}
 
 double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;

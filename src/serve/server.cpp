@@ -9,15 +9,13 @@
 
 namespace pdc::serve {
 
-namespace {
-
-/// The one place serving reads the wall: latency of a real server is wall
-/// time by nature, and this layer sits outside the modeled SPMD timeline.
 double wall_seconds() {
-  using WallClock = std::chrono::steady_clock;  // pdc-lint: allow(PDC001) -- serving latency is wall time, outside the modeled timeline
+  using WallClock = std::chrono::steady_clock;  // pdc-lint: allow(PDC001) -- serving latency and load-generator throughput are wall time, outside the modeled timeline
   return std::chrono::duration<double>(WallClock::now().time_since_epoch())
       .count();
 }
+
+namespace {
 
 std::size_t latency_bucket(double us) {
   std::size_t b = 0;

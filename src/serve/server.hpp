@@ -44,6 +44,10 @@
 
 namespace pdc::serve {
 
+/// Monotonic wall-clock seconds: the one place serving (the server and its
+/// load generator) reads the wall.
+double wall_seconds();
+
 struct ServerConfig {
   int replicas = 1;
   std::size_t queue_capacity = 64;

@@ -7,13 +7,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "clouds/categorical.hpp"
 #include "clouds/estimate.hpp"
 #include "clouds/gini.hpp"
 #include "clouds/intervals.hpp"
-#include "clouds/record_source.hpp"
 #include "clouds/splitters.hpp"
 #include "data/agrawal.hpp"
 
@@ -242,11 +242,17 @@ std::vector<Record> random_records(std::size_t n, int function,
   return gen.make_range(0, n);
 }
 
+io::Scan<Record> memory_scan(std::span<const Record> records) {
+  return [records](const auto& visit) {
+    for (const auto& r : records) visit(r);
+  };
+}
+
 TEST(Splitters, CollectStatsCountsEveryRecord) {
   auto records = random_records(2000, 2, 5);
   std::vector<Record> sample(records.begin(), records.begin() + 100);
   auto stats = NodeStats::with_boundaries(sample, 20);
-  MemorySource src(records);
+  const auto src = memory_scan(records);
   CostHooks hooks;
   collect_stats(src, stats, hooks);
   EXPECT_EQ(data::total(stats.counts), 2000);
@@ -262,7 +268,7 @@ TEST(Splitters, SsBestIsAmongBoundaryGinis) {
   auto records = random_records(3000, 2, 6);
   std::vector<Record> sample(records.begin(), records.begin() + 200);
   auto stats = NodeStats::with_boundaries(sample, 16);
-  MemorySource src(records);
+  const auto src = memory_scan(records);
   CostHooks hooks;
   collect_stats(src, stats, hooks);
   auto best = ss_split(stats, hooks);
@@ -286,7 +292,7 @@ TEST_P(SseEquivalence, SseMatchesDirectOptimum) {
     sample.push_back(records[i]);
   }
   auto stats = NodeStats::with_boundaries(sample, q);
-  MemorySource src(records);
+  const auto src = memory_scan(records);
   CostHooks hooks;
   collect_stats(src, stats, hooks);
   SseDiag diag;
@@ -319,7 +325,7 @@ TEST(Splitters, LargerQShrinksSurvival) {
   for (int pass = 0; pass < 2; ++pass) {
     const int q = pass == 0 ? 8 : 128;
     auto stats = NodeStats::with_boundaries(sample, q);
-    MemorySource src(records);
+    const auto src = memory_scan(records);
     collect_stats(src, stats, hooks);
     SseDiag diag;
     (void)sse_split(stats, src, hooks, &diag);
@@ -373,7 +379,7 @@ TEST(Splitters, CostHooksAdvanceClock) {
   auto records = random_records(1000, 2, 13);
   std::vector<Record> sample(records.begin(), records.begin() + 50);
   auto stats = NodeStats::with_boundaries(sample, 10);
-  MemorySource src(records);
+  const auto src = memory_scan(records);
   collect_stats(src, stats, hooks);
   EXPECT_GT(clock.snapshot().compute_s, 0.0);
   const double after_collect = clock.snapshot().compute_s;

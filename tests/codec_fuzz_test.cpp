@@ -7,16 +7,21 @@
 //
 // Formats covered: QuantileSketch blobs, the pdcT tree file, the pdcF
 // compiled-tree blob, the voted-stats varint stream, CloudsProblem
-// checkpoint state, and the CheckpointStore manifest.
+// checkpoint state, and the CheckpointStore manifest.  The two formats
+// that carry tree arenas (pdcT and checkpoint state) also get structural
+// mutants that rewrite child links: every accepted arena must be a tree,
+// so it compiles to no more nodes than it holds.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "clouds/builder.hpp"
@@ -41,6 +46,7 @@ namespace {
 using clouds::DecisionTree;
 using clouds::NodeStats;
 using clouds::QuantileSketch;
+using clouds::TreeNode;
 using data::AgrawalGenerator;
 using data::Record;
 
@@ -88,6 +94,50 @@ void fuzz_bytes(const Bytes& seed, std::uint64_t rng_seed,
 std::vector<Record> agrawal_records(std::size_t n, std::uint64_t seed) {
   AgrawalGenerator gen({.function = 2, .seed = seed});
   return gen.make_range(0, n);
+}
+
+/// Applies `decode` to kMutations seeded structural mutants of `seed`,
+/// each rewriting the child links of one internal node: both links onto
+/// one child, a link onto another node's child, a link to an arbitrary
+/// index, or the two links swapped.  The decode must return normally or
+/// throw a std::exception; at least the shared-child mutants must throw.
+template <class Decode>
+void fuzz_child_links(const std::vector<TreeNode>& seed,
+                      std::uint64_t rng_seed, const Decode& decode) {
+  std::vector<std::size_t> internal;
+  for (std::size_t i = 0; i < seed.size(); ++i) {
+    if (!seed[i].leaf) internal.push_back(i);
+  }
+  ASSERT_GE(internal.size(), 2u);
+  std::mt19937_64 rng(rng_seed);
+  const auto pick = [&] { return internal[rng() % internal.size()]; };
+  int rejected = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    auto nodes = seed;
+    TreeNode& n = nodes[pick()];
+    const TreeNode& other = nodes[pick()];
+    switch (i % 4) {
+      case 0: n.right = n.left; break;
+      case 1: n.left = other.right; break;
+      case 2:
+        n.right = static_cast<std::int32_t>(rng() % (nodes.size() + 1)) - 1;
+        break;
+      default: std::swap(n.left, n.right); break;
+    }
+    try {
+      decode(nodes);
+    } catch (const std::exception&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GE(rejected, kMutations / 4);
+}
+
+/// An accepted arena is a tree: no walk or compiled layout outgrows it.
+void expect_linear(const DecisionTree& tree) {
+  EXPECT_LE(tree.live_count(), tree.node_count());
+  EXPECT_LE(serve::CompiledTree::compile(tree).node_count(),
+            tree.node_count());
 }
 
 // ------------------------------------------------ QuantileSketch ---
@@ -172,6 +222,27 @@ TEST(CodecFuzz, TreeFileSurvivesMutations) {
     // terminating for any record.
     for (const auto& r : probe) (void)t.classify(r);
   });
+}
+
+void write_tree_file(const std::filesystem::path& path,
+                     const std::vector<TreeNode>& nodes) {
+  clouds::detail::TreeHeader header;
+  header.node_count = nodes.size();
+  std::vector<char> bytes(sizeof(header) + nodes.size() * sizeof(TreeNode));
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  std::memcpy(bytes.data() + sizeof(header), nodes.data(),
+              nodes.size() * sizeof(TreeNode));
+  write_raw(path, bytes);
+}
+
+TEST(CodecFuzz, TreeFileSurvivesChildLinkRewrites) {
+  io::ScratchArena arena("codec_fuzz_tree_links", 1);
+  const auto path = arena.rank_dir(0) / "mutant.pdct";
+  fuzz_child_links(trained_tree().serialize(), 0x51eef008,
+                   [&](const std::vector<TreeNode>& nodes) {
+                     write_tree_file(path, nodes);
+                     expect_linear(clouds::load_tree(path));
+                   });
 }
 
 // ------------------------------------------ pdcF compiled blob ---
@@ -308,6 +379,97 @@ TEST(CodecFuzz, ProblemStateSurvivesMutations) {
     // A restore that validated must re-export without tripping ASan.
     (void)fresh.export_state();
   });
+}
+
+/// CloudsProblem::export_state() opens with three i32 combiner knobs and
+/// then the tree arena (u64 node count, raw nodes); returns `state` with
+/// that arena replaced by `nodes`.
+std::vector<std::byte> with_tree_arena(const std::vector<std::byte>& state,
+                                       const std::vector<TreeNode>& nodes) {
+  constexpr std::size_t kAt = 3 * sizeof(std::int32_t);
+  std::uint64_t old_count = 0;
+  std::memcpy(&old_count, state.data() + kAt, sizeof(old_count));
+  const std::size_t old_end =
+      kAt + sizeof(old_count) + old_count * sizeof(TreeNode);
+  const std::uint64_t count = nodes.size();
+  std::vector<std::byte> out(kAt + sizeof(count) + count * sizeof(TreeNode));
+  std::memcpy(out.data(), state.data(), kAt);
+  std::memcpy(out.data() + kAt, &count, sizeof(count));
+  std::memcpy(out.data() + kAt + sizeof(count), nodes.data(),
+              count * sizeof(TreeNode));
+  out.insert(out.end(), state.begin() + static_cast<std::ptrdiff_t>(old_end),
+             state.end());
+  return out;
+}
+
+TEST(CodecFuzz, ProblemStateSurvivesChildLinkRewrites) {
+  const auto records = agrawal_records(500, 17);
+  std::vector<Record> sample(records.begin(), records.begin() + 50);
+  const auto seeded = seeded_problem(records, sample);
+  const auto subtree = seeded.small_subtrees().at(0).second;
+  const auto tree = trained_tree().serialize();
+  // A trained tree in the tree slot gives the arena links to rewrite.
+  const auto state = with_tree_arena(seeded.export_state(), tree);
+  const auto check = [&](const std::vector<std::byte>& blob) {
+    pclouds::CloudsProblem fresh(fuzz_cfg(), records.size(), sample,
+                                 clouds::CostHooks{}, nullptr);
+    fresh.restore_state(blob);
+    expect_linear(fresh.tree());
+    // Small-node subtrees are validated where they join the tree.
+    for (const auto& [id, nodes] : fresh.small_subtrees()) {
+      DecisionTree host;
+      host.graft(host.root(), nodes);
+      expect_linear(host);
+    }
+  };
+  check(state);
+  fuzz_child_links(tree, 0x51eef009, [&](const std::vector<TreeNode>& n) {
+    check(with_tree_arena(state, n));
+  });
+  // The subtree arena is the last field before the trailing diagnostics.
+  const std::size_t at = state.size() - sizeof(pclouds::CloudsProblem::Diag) -
+                         subtree.size() * sizeof(TreeNode);
+  fuzz_child_links(subtree, 0x51eef00a, [&](const std::vector<TreeNode>& n) {
+    auto blob = state;
+    std::memcpy(blob.data() + at, n.data(), n.size() * sizeof(TreeNode));
+    check(blob);
+  });
+}
+
+/// 24 nodes (1,152 bytes) whose every internal node sends both links to
+/// the next node: accepted, they would unfold into 2^23 leaves.
+std::vector<TreeNode> shared_child_chain() {
+  std::vector<TreeNode> nodes(24);
+  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
+    nodes[i].leaf = false;
+    nodes[i].left = nodes[i].right = static_cast<std::int32_t>(i + 1);
+    nodes[i].depth = static_cast<std::int32_t>(i);
+  }
+  nodes.back().depth = static_cast<std::int32_t>(nodes.size() - 1);
+  return nodes;
+}
+
+TEST(CodecFuzz, SharedChildArenaIsRejectedOnEveryPath) {
+  const auto chain = shared_child_chain();
+  EXPECT_THROW((void)DecisionTree::deserialize(chain), WireError);
+
+  io::ScratchArena arena("codec_fuzz_shared_child", 1);
+  const auto path = arena.rank_dir(0) / "shared.pdct";
+  write_tree_file(path, chain);
+  EXPECT_THROW((void)clouds::load_tree(path), WireError);
+
+  const auto records = agrawal_records(500, 17);
+  std::vector<Record> sample(records.begin(), records.begin() + 50);
+  const auto state =
+      with_tree_arena(seeded_problem(records, sample).export_state(), chain);
+  pclouds::CloudsProblem fresh(fuzz_cfg(), records.size(), sample,
+                               clouds::CostHooks{}, nullptr);
+  EXPECT_THROW(fresh.restore_state(state), WireError);
+
+  DecisionTree host;
+  EXPECT_THROW(host.graft(host.root(), chain), WireError);
+  EXPECT_EQ(host.node_count(), 1u);
+  EXPECT_TRUE(host.node(host.root()).leaf);
 }
 
 // ------------------------------------- checkpoint manifest format ---

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "clouds/builder.hpp"
-#include "clouds/record_source.hpp"
 #include "clouds/splitters.hpp"
 #include "data/dataset.hpp"
 #include "drift_report.hpp"
@@ -38,6 +37,12 @@ namespace pdc {
 namespace {
 
 using data::Record;
+
+io::Scan<Record> memory_scan(std::span<const Record> records) {
+  return [records](const auto& visit) {
+    for (const auto& r : records) visit(r);
+  };
+}
 
 std::vector<Record> make_train(std::uint64_t n) {
   data::AgrawalGenerator gen({.function = 2, .seed = 11});
@@ -133,7 +138,7 @@ TEST(Differential, SseMatchesDirectSplitQualityOnRandomNodes) {
     next += 600;
 
     auto stats = clouds::NodeStats::with_boundaries(records, /*q=*/24);
-    clouds::MemorySource source(records);
+    const auto source = memory_scan(records);
     clouds::collect_stats(source, stats, {});
 
     const auto exact = clouds::direct_split(records, {});
@@ -172,7 +177,7 @@ NodeWorkload make_node_workload(int function, std::uint64_t seed, int q,
     w.sample.push_back(w.records[i]);
   }
   w.global = clouds::NodeStats::with_boundaries(w.sample, q);
-  clouds::MemorySource src(w.records);
+  const auto src = memory_scan(w.records);
   clouds::collect_stats(src, w.global, {});
   w.exact = clouds::ss_split(w.global, {});
   return w;
@@ -206,7 +211,7 @@ NodeWorkload make_near_tie_workload(std::uint64_t seed, int q) {
     w.sample.push_back(w.records[i]);
   }
   w.global = clouds::NodeStats::with_boundaries(w.sample, q);
-  clouds::MemorySource src(w.records);
+  const auto src = memory_scan(w.records);
   clouds::collect_stats(src, w.global, {});
   w.exact = clouds::ss_split(w.global, {});
   return w;

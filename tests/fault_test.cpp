@@ -399,9 +399,11 @@ TEST(CheckpointRestart, ResumeWithoutSnapshotsStartsFresh) {
 // The seeded scenario matrix: 8 seeds x {disk, comm}.  Every scenario
 // either rides through (transient faults absorbed by retries; the tree is
 // untouched) or dies — and then a restart over the same disks must land on
-// the fault-free tree.
+// the fault-free tree.  The site class is a std::string, not a const char*:
+// gtest prints a char pointer with its address, and that address would end
+// up in the discovered ctest name and change with every build.
 class FaultMatrix
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, const char*>> {
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::string>> {
 };
 
 TEST_P(FaultMatrix, EveryScenarioEndsInTheFaultFreeTree) {
@@ -438,9 +440,10 @@ TEST_P(FaultMatrix, EveryScenarioEndsInTheFaultFreeTree) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, FaultMatrix,
     ::testing::Combine(::testing::Range<std::uint64_t>(0, 8),
-                       ::testing::Values("disk", "comm")),
+                       ::testing::Values(std::string("disk"),
+                                         std::string("comm"))),
     [](const auto& param_info) {
-      return std::string(std::get<1>(param_info.param)) + "_seed" +
+      return std::get<1>(param_info.param) + "_seed" +
              std::to_string(std::get<0>(param_info.param));
     });
 

@@ -52,8 +52,11 @@ TEST(Invariants, GiniLowerBoundNeverExceedsExactGiniInTheInterval) {
   for (int trial = 0; trial < 100; ++trial) {
     const auto records = random_node(rng, 400);
     auto stats = clouds::NodeStats::with_boundaries(records, /*q=*/16);
-    clouds::MemorySource source(records);
-    clouds::collect_stats(source, stats, {});
+    clouds::collect_stats(
+        [&](const auto& visit) {
+          for (const auto& r : records) visit(r);
+        },
+        stats, {});
 
     const auto boundary_best = clouds::ss_split(stats, {});
     if (!boundary_best.valid) continue;

@@ -1,15 +1,22 @@
 // Tests for model persistence (save/load), subtree extract/graft
-// round-trips, parallel evaluation and parallel pruning.
+// round-trips, the iterative tree walk against a recursive oracle,
+// parallel evaluation and parallel pruning.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "clouds/builder.hpp"
 #include "clouds/model_io.hpp"
+#include "clouds/prune.hpp"
 #include "data/dataset.hpp"
 #include "io/scratch.hpp"
 #include "mp/runtime.hpp"
@@ -22,6 +29,7 @@ namespace {
 using clouds::CloudsBuilder;
 using clouds::CloudsConfig;
 using clouds::DecisionTree;
+using clouds::TreeNode;
 using data::AgrawalGenerator;
 using data::Record;
 
@@ -124,6 +132,187 @@ TEST(Tree, GraftRejectsInternalTarget) {
   ASSERT_FALSE(tree.node(tree.root()).leaf);
   EXPECT_THROW(tree.graft(tree.root(), tree.extract(tree.root())),
                std::logic_error);
+}
+
+// ---- the one iterative walk vs a recursive oracle ----
+
+/// The recursive walks the tree used before it had one iterative walk,
+/// kept here as the oracle.  Only ever run on shallow trees.
+struct RecursiveOracle {
+  DecisionTree& tree;
+
+  const TreeNode& at(std::int32_t id) const { return tree.node(id); }
+
+  std::size_t leaves(std::int32_t id) const {
+    return at(id).leaf ? 1 : leaves(at(id).left) + leaves(at(id).right);
+  }
+  std::size_t live(std::int32_t id) const {
+    return at(id).leaf ? 1 : 1 + live(at(id).left) + live(at(id).right);
+  }
+  std::int32_t depth(std::int32_t id) const {
+    if (at(id).leaf) return at(id).depth;
+    return std::max({at(id).depth, depth(at(id).left), depth(at(id).right)});
+  }
+  void order(std::int32_t id, std::vector<std::int32_t>& out) const {
+    out.push_back(id);
+    if (at(id).leaf) return;
+    order(at(id).left, out);
+    order(at(id).right, out);
+  }
+
+  std::int32_t extract(std::int32_t id, std::vector<TreeNode>& out) const {
+    const auto pos = static_cast<std::int32_t>(out.size());
+    out.push_back(at(id));
+    if (!at(id).leaf) {
+      const auto l = extract(at(id).left, out);
+      const auto r = extract(at(id).right, out);
+      out[static_cast<std::size_t>(pos)].left = l;
+      out[static_cast<std::size_t>(pos)].right = r;
+    }
+    return pos;
+  }
+
+  void print(std::int32_t id, std::ostringstream& out) const {
+    const TreeNode& n = at(id);
+    out << std::string(2 * static_cast<std::size_t>(n.depth), ' ');
+    if (n.leaf) {
+      out << "leaf class=" << static_cast<int>(n.label) << " counts=[";
+      for (int k = 0; k < data::kNumClasses; ++k) {
+        out << (k ? "," : "") << n.counts[static_cast<std::size_t>(k)];
+      }
+      out << "]\n";
+      return;
+    }
+    const auto a = static_cast<std::size_t>(n.split.attr);
+    if (n.split.kind == clouds::Split::Kind::kNumeric) {
+      out << data::kNumericNames[a] << " <= " << n.split.threshold << "\n";
+    } else {
+      out << data::kCatNames[a] << " in {";
+      const char* sep = "";
+      for (int v = 0; v < data::kCatCardinality[a]; ++v) {
+        if ((n.split.subset >> v) & 1u) {
+          out << sep << v;
+          sep = ",";
+        }
+      }
+      out << "}\n";
+    }
+    print(n.left, out);
+    print(n.right, out);
+  }
+
+  double prune(std::int32_t id, double split_bits, std::size_t& collapsed) {
+    const double leaf_cost = clouds::mdl_leaf_cost(at(id).counts);
+    if (at(id).leaf) return leaf_cost;
+    const double subtree_cost = 1.0 + split_bits +
+                                prune(at(id).left, split_bits, collapsed) +
+                                prune(at(id).right, split_bits, collapsed);
+    if (leaf_cost <= subtree_cost) {
+      tree.collapse(id);
+      ++collapsed;
+      return leaf_cost;
+    }
+    return subtree_cost;
+  }
+};
+
+std::string arena_bytes(const DecisionTree& tree) {
+  const auto nodes = tree.serialize();
+  std::string out(nodes.size() * sizeof(TreeNode), '\0');
+  if (!nodes.empty()) std::memcpy(out.data(), nodes.data(), out.size());
+  return out;
+}
+
+void expect_walks_match_oracle(const DecisionTree& tree) {
+  DecisionTree copy = tree;
+  const RecursiveOracle oracle{copy};
+  EXPECT_EQ(tree.live_count(), oracle.live(tree.root()));
+  EXPECT_EQ(tree.leaf_count(), oracle.leaves(tree.root()));
+  EXPECT_EQ(tree.max_depth(), oracle.depth(tree.root()));
+  std::ostringstream text;
+  oracle.print(tree.root(), text);
+  EXPECT_EQ(tree.to_string(), text.str());
+  std::vector<std::int32_t> order;
+  oracle.order(tree.root(), order);
+  EXPECT_EQ(tree.preorder(tree.root()), order);
+  for (const std::int32_t id : order) {
+    std::vector<TreeNode> want;
+    oracle.extract(id, want);
+    const auto got = tree.extract(id);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             got.size() * sizeof(TreeNode)))
+        << "extract(" << id << ")";
+  }
+
+  // Pruning: same decisions, same collapsed count, same arena bytes.
+  DecisionTree iterative = tree;
+  DecisionTree recursive = tree;
+  const auto stats = clouds::mdl_prune(iterative);
+  std::size_t collapsed = 0;
+  RecursiveOracle{recursive}.prune(
+      recursive.root(),
+      std::log2(static_cast<double>(data::kNumAttributes)) +
+          clouds::PruneConfig{}.split_value_bits,
+      collapsed);
+  EXPECT_EQ(stats.collapsed, collapsed);
+  EXPECT_EQ(stats.nodes_before, oracle.live(tree.root()));
+  EXPECT_EQ(stats.nodes_after, RecursiveOracle{recursive}.live(0));
+  EXPECT_EQ(arena_bytes(iterative), arena_bytes(recursive));
+}
+
+DecisionTree noisy_tree(std::uint64_t seed) {
+  AgrawalGenerator gen({.function = 2, .seed = seed, .label_noise = 0.15});
+  return CloudsBuilder{CloudsConfig{}}.build(gen.make_range(0, 3000));
+}
+
+TEST(TreeWalk, TrainedTreeMatchesRecursiveOracle) {
+  const auto tree = noisy_tree(21);
+  ASSERT_GT(tree.live_count(), 50u);
+  expect_walks_match_oracle(tree);
+}
+
+TEST(TreeWalk, PrunedTreeWithOrphansMatchesRecursiveOracle) {
+  auto tree = noisy_tree(22);
+  const auto stats = clouds::mdl_prune(tree);
+  ASSERT_GT(stats.collapsed, 0u);
+  // collapse() leaves the pruned subtrees' nodes behind as orphans.
+  ASSERT_LT(tree.live_count(), tree.node_count());
+  expect_walks_match_oracle(tree);
+}
+
+TEST(TreeWalk, GraftedTreeMatchesRecursiveOracle) {
+  auto tree = noisy_tree(23);
+  const auto donor = noisy_tree(24);
+  const auto& donor_root = donor.node(donor.root());
+  ASSERT_FALSE(donor_root.leaf);
+  ASSERT_FALSE(donor.node(donor_root.right).leaf);
+  // Graft a donor branch onto the deepest leaf of the left subtree.
+  std::int32_t target = tree.node(tree.root()).left;
+  while (!tree.node(target).leaf) target = tree.node(target).left;
+  tree.graft(target, donor.extract(donor_root.right));
+  clouds::mdl_prune(tree);  // orphans both in the host and the graft
+  expect_walks_match_oracle(tree);
+}
+
+TEST(TreeWalk, DeepChainWalksComplete) {
+  // Deep enough that a recursive walk overflows the default 8 MB stack.
+  constexpr std::int32_t kLevels = 400'000;
+  DecisionTree chain(data::ClassCounts{{{3, 3}}});
+  clouds::Split split;
+  split.attr = 0;
+  std::int32_t at = chain.root();
+  for (std::int32_t d = 0; d < kLevels; ++d) {
+    at = chain.grow(at, split, {{{2, 2}}}, {{{1, 0}}}).first;
+  }
+  const auto nodes = static_cast<std::size_t>(2 * kLevels + 1);
+  EXPECT_EQ(chain.live_count(), nodes);
+  EXPECT_EQ(chain.leaf_count(), static_cast<std::size_t>(kLevels) + 1);
+  EXPECT_EQ(chain.max_depth(), kLevels);
+  EXPECT_EQ(chain.extract(chain.root()).size(), nodes);
+  const auto stats = clouds::mdl_prune(chain);
+  EXPECT_EQ(stats.nodes_before, nodes);
+  EXPECT_EQ(stats.nodes_after, chain.live_count());
 }
 
 TEST(ParallelEval, MatchesSequentialConfusion) {

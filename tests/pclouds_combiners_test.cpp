@@ -7,9 +7,9 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
-#include "clouds/record_source.hpp"
 #include "clouds/splitters.hpp"
 #include "data/agrawal.hpp"
 #include "mp/runtime.hpp"
@@ -21,7 +21,6 @@ namespace pdc::pclouds {
 namespace {
 
 using clouds::CostHooks;
-using clouds::MemorySource;
 using clouds::NodeStats;
 using data::Record;
 
@@ -33,6 +32,12 @@ struct Workload {
   std::vector<clouds::AliveInterval> seq_alive;
 };
 
+io::Scan<Record> memory_scan(std::span<const Record> records) {
+  return [records](const auto& visit) {
+    for (const auto& r : records) visit(r);
+  };
+}
+
 Workload make_workload(int q, std::uint64_t seed) {
   Workload w;
   data::AgrawalGenerator gen({.function = 2, .seed = seed,
@@ -42,7 +47,7 @@ Workload make_workload(int q, std::uint64_t seed) {
     w.sample.push_back(w.records[i]);
   }
   w.global = NodeStats::with_boundaries(w.sample, q);
-  MemorySource src(w.records);
+  const auto src = memory_scan(w.records);
   CostHooks hooks;
   clouds::collect_stats(src, w.global, hooks);
   w.seq_best = clouds::ss_split(w.global, hooks);
@@ -260,7 +265,7 @@ TEST_P(AliveParallelP, MatchesSequentialSseOptimum) {
   const auto w = make_workload(q, 13);
 
   // Sequential SSE reference.
-  MemorySource src(w.records);
+  const auto src = memory_scan(w.records);
   CostHooks hooks;
   auto stats = w.global;
   const auto seq = clouds::sse_split(stats, src, hooks);
@@ -269,10 +274,10 @@ TEST_P(AliveParallelP, MatchesSequentialSseOptimum) {
   mp::Runtime rt(p);
   rt.run([&](mp::Comm& comm) {
     // Local second-pass scan over this rank's share.
-    LocalScan scan = [&](const std::function<void(const Record&)>& fn) {
+    const io::Scan<Record> scan = [&](const auto& visit) {
       for (std::size_t i = static_cast<std::size_t>(comm.rank());
            i < w.records.size(); i += static_cast<std::size_t>(p)) {
-        fn(w.records[i]);
+        visit(w.records[i]);
       }
     };
     const auto outcome = evaluate_alive_parallel(
@@ -289,7 +294,7 @@ TEST(AliveParallel, NoAliveIntervalsReturnsBoundaryBest) {
   rt.run([&](mp::Comm& comm) {
     clouds::SplitCandidate boundary;
     boundary.consider(0.25, clouds::Split{});
-    LocalScan scan = [](const std::function<void(const Record&)>&) {};
+    const io::Scan<Record> scan = [](const auto&) {};
     const auto outcome = evaluate_alive_parallel(
         comm, {}, boundary, data::ClassCounts{{{10, 10}}}, scan, {});
     EXPECT_DOUBLE_EQ(outcome.best.gini, 0.25);

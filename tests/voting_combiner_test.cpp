@@ -18,7 +18,6 @@
 #include <tuple>
 #include <vector>
 
-#include "clouds/record_source.hpp"
 #include "clouds/splitters.hpp"
 #include "data/agrawal.hpp"
 #include "data/dataset.hpp"
@@ -33,7 +32,6 @@ namespace pdc::pclouds {
 namespace {
 
 using clouds::CostHooks;
-using clouds::MemorySource;
 using clouds::NodeStats;
 using data::Record;
 using fault::CommFault;
@@ -63,9 +61,12 @@ Workload make_workload(int q, std::uint64_t seed, bool skewed) {
     w.sample.push_back(w.records[i]);
   }
   w.global = NodeStats::with_boundaries(w.sample, q);
-  MemorySource src(w.records);
   CostHooks hooks;
-  clouds::collect_stats(src, w.global, hooks);
+  clouds::collect_stats(
+      [&](const auto& visit) {
+        for (const auto& r : w.records) visit(r);
+      },
+      w.global, hooks);
   w.seq_best = clouds::ss_split(w.global, hooks);
   return w;
 }
