@@ -9,7 +9,10 @@
 // vectors), instead of at every distinct attribute value.
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -17,6 +20,47 @@
 #include "data/record.hpp"
 
 namespace pdc::clouds {
+
+/// std::lower_bound's index into each of L ascending arrays at once: lane a
+/// gets the first j with !(bounds[a][j] < v[a]), or bounds[a].size() when
+/// there is none (so NaN lands in 0, and -0.0 sits with a 0.0 bound).  The
+/// lanes descend level by level side by side, each step a compare feeding
+/// a select (cmov) rather than a data-dependent jump, so the L load chains
+/// overlap instead of serialising behind mispredicted branches.  A lane
+/// that has narrowed to one candidate re-reads it until the longest lane
+/// is done; an empty lane reads +inf, which no value compares above.
+/// Whatever the contents, every element read and index returned is in
+/// range.
+template <std::size_t L>
+std::array<std::size_t, L> lower_bound_lanes(
+    const std::array<std::span<const float>, L>& bounds,
+    const std::array<float, L>& v) {
+  static constexpr float kNoBound = std::numeric_limits<float>::infinity();
+  std::array<const float*, L> first{};
+  std::array<std::size_t, L> n{};
+  std::size_t widest = 1;
+  for (std::size_t a = 0; a < L; ++a) {
+    const bool empty = bounds[a].empty();
+    first[a] = empty ? &kNoBound : bounds[a].data();
+    n[a] = empty ? 1 : bounds[a].size();
+    widest = std::max(widest, n[a]);
+  }
+  // Per lane, the answer lies in [at, at + n] and at[0 .. n-1] is readable.
+  std::array<const float*, L> at = first;
+  for (auto level = std::bit_width(widest - 1); level > 0; --level) {
+    for (std::size_t a = 0; a < L; ++a) {
+      const std::size_t half = n[a] / 2;
+      at[a] = at[a][half] < v[a] ? at[a] + half : at[a];
+      n[a] -= half;
+    }
+  }
+  std::array<std::size_t, L> out{};
+  for (std::size_t a = 0; a < L; ++a) {
+    out[a] = static_cast<std::size_t>(at[a] - first[a]) +
+             static_cast<std::size_t>(*at[a] < v[a]);
+  }
+  return out;
+}
 
 /// Equi-depth interior boundaries from sample values: at most q-1 ascending
 /// distinct cut points; interval j covers (b[j-1], b[j]] with b[-1] = -inf
@@ -56,8 +100,7 @@ struct IntervalHist {
   /// Index of the interval containing `v`: first j with v <= bounds[j],
   /// else the last interval.
   std::size_t interval_of(float v) const {
-    const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
-    return static_cast<std::size_t>(it - bounds.begin());
+    return lower_bound_lanes<1>({std::span<const float>(bounds)}, {v})[0];
   }
 
   void add(float v, std::int8_t label) {

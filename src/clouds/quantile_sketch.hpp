@@ -129,7 +129,10 @@ class QuantileSketch {
         throw WireError("QuantileSketch: level overruns the buffer");
       }
       lvl.resize(n);
-      std::memcpy(lvl.data(), bytes.data() + offset, n * sizeof(float));  // pdc-lint: allow(PDC010) -- float payload off the wire; n bounds-checked above
+      // An empty level's data() may be null, which memcpy must not get.
+      if (n != 0) {
+        std::memcpy(lvl.data(), bytes.data() + offset, n * sizeof(float));  // pdc-lint: allow(PDC010) -- float payload off the wire; n bounds-checked above
+      }
       offset += n * sizeof(float);
     }
     const auto ncomp = take_u64(bytes, offset);

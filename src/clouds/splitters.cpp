@@ -1,7 +1,9 @@
 #include "clouds/splitters.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <span>
 
 #include "clouds/estimate.hpp"
 #include "obs/mem_gauge.hpp"
@@ -17,12 +19,13 @@ NodeStats NodeStats::with_boundaries(std::span<const data::Record> sample,
 }
 
 void NodeStats::add(const data::Record& r) {
-  for (int a = 0; a < data::kNumNumeric; ++a) {
-    hists[static_cast<std::size_t>(a)].add(r.num[static_cast<std::size_t>(a)],
-                                           r.label);
-  }
+  std::array<std::span<const float>, data::kNumNumeric> bounds;
+  for (std::size_t a = 0; a < bounds.size(); ++a) bounds[a] = hists[a].bounds;
+  const auto bin = lower_bound_lanes(bounds, r.num);
+  const auto label = static_cast<std::size_t>(r.label);
+  for (std::size_t a = 0; a < bin.size(); ++a) ++hists[a].freq[bin[a]][label];
   for (auto& m : cats) m.add(r);
-  ++counts[static_cast<std::size_t>(r.label)];
+  ++counts[label];
 }
 
 void collect_stats(const io::Scan<data::Record>& scan, NodeStats& stats,

@@ -480,36 +480,44 @@ void put_stats(std::vector<std::byte>& out, const NodeStats& s) {
   }
 }
 
+/// Every consumer of a NodeStats (NodeStats::add, prefix_counts,
+/// find_alive_intervals, ss_split) indexes one histogram per numeric
+/// attribute with one more interval than boundaries, and one count matrix
+/// per categorical attribute, in order, with a row per attribute value: a
+/// restored blob must have exactly that shape.
 NodeStats get_stats(std::span<const std::byte> in, std::size_t& at) {
   NodeStats s;
   s.counts = get_raw<data::ClassCounts>(in, at);
-  const auto nh = get_raw<std::uint64_t>(in, at);
-  // Every histogram costs at least two u64 vector headers on the wire, so
-  // a count beyond the remaining bytes / 16 is corrupt: reject it before
-  // it sizes an allocation.
-  if (nh > (in.size() - at) / (2 * sizeof(std::uint64_t))) {
-    throw WireError("pclouds: histogram count overruns the checkpoint blob");
+  if (get_raw<std::uint64_t>(in, at) != data::kNumNumeric) {
+    throw WireError("pclouds: checkpoint stats need one histogram per "
+                    "numeric attribute");
   }
-  s.hists.resize(static_cast<std::size_t>(nh));
+  s.hists.resize(data::kNumNumeric);
   for (auto& h : s.hists) {
     h.bounds = get_vec<float>(in, at);
     h.freq = get_vec<data::ClassCounts>(in, at);
+    if (h.freq.size() != h.bounds.size() + 1) {
+      throw WireError("pclouds: histogram interval count does not match "
+                      "its boundaries");
+    }
   }
-  const auto nc = get_raw<std::uint64_t>(in, at);
-  if (nc > (in.size() - at) / (sizeof(int) + sizeof(std::uint64_t))) {
-    throw WireError("pclouds: category count overruns the checkpoint blob");
+  if (get_raw<std::uint64_t>(in, at) != data::kNumCategorical) {
+    throw WireError("pclouds: checkpoint stats need one count matrix per "
+                    "categorical attribute");
   }
   s.cats.clear();
-  s.cats.reserve(static_cast<std::size_t>(nc));
-  for (std::uint64_t i = 0; i < nc; ++i) {
-    const int attr = get_raw<int>(in, at);
-    // The CountMatrix constructor indexes kCatCardinality[attr]; a corrupt
-    // attribute id must be rejected before it reaches that table.
-    if (attr < 0 || attr >= data::kNumCategorical) {
-      throw WireError("pclouds: categorical attribute id out of range");
+  s.cats.reserve(data::kNumCategorical);
+  for (std::size_t i = 0; i < data::kCatCardinality.size(); ++i) {
+    const int attr = static_cast<int>(i);
+    if (get_raw<int>(in, at) != attr) {
+      throw WireError("pclouds: categorical attribute id out of order");
     }
     clouds::CountMatrix c(attr);
     c.counts = get_vec<data::ClassCounts>(in, at);
+    if (c.counts.size() != static_cast<std::size_t>(data::kCatCardinality[i])) {
+      throw WireError("pclouds: count matrix rows do not match the "
+                      "attribute's cardinality");
+    }
     s.cats.push_back(std::move(c));
   }
   return s;

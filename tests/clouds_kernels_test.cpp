@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -96,6 +100,40 @@ TEST(Intervals, DegenerateSamples) {
   EXPECT_TRUE(equi_depth_boundaries({1.0f, 2.0f}, 1).empty());
 }
 
+/// `n` ascending distinct boundaries; odd-sized sets include 0.0, so -0.0
+/// meets a 0.0 bound.
+std::vector<float> random_bounds(std::mt19937& rng, std::size_t n) {
+  std::uniform_real_distribution<float> u(-1000.0f, 1000.0f);
+  std::set<float> drawn;
+  if (n % 2 == 1) drawn.insert(0.0f);
+  while (drawn.size() < n) drawn.insert(u(rng));
+  return {drawn.begin(), drawn.end()};
+}
+
+/// The floats an interval lookup must place exactly: every bound and its
+/// neighbours, both zeros, both infinities, NaN and the finite extremes.
+std::vector<float> edge_values(const std::vector<float>& bounds) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> v = {0.0f,
+                          -0.0f,
+                          kInf,
+                          -kInf,
+                          std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::lowest(),
+                          std::numeric_limits<float>::max()};
+  for (const float b : bounds) {
+    v.push_back(b);
+    v.push_back(std::nextafter(b, -kInf));
+    v.push_back(std::nextafter(b, kInf));
+  }
+  return v;
+}
+
+std::size_t lower_bound_index(const std::vector<float>& bounds, float v) {
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+}
+
 TEST(Intervals, IntervalOfMatchesLinearScan) {
   IntervalHist h;
   h.bounds = {1.0f, 3.0f, 7.0f};
@@ -109,6 +147,24 @@ TEST(Intervals, IntervalOfMatchesLinearScan) {
   };
   for (float v : {-5.0f, 0.0f, 1.0f, 1.5f, 3.0f, 3.1f, 7.0f, 100.0f}) {
     EXPECT_EQ(h.interval_of(v), linear(v)) << v;
+  }
+
+  // std::lower_bound's index exactly, for every bound count up to 70, the
+  // counts either side of each deeper search level, and every edge value.
+  std::vector<std::size_t> counts(71);
+  for (std::size_t n = 0; n < counts.size(); ++n) counts[n] = n;
+  counts.insert(counts.end(),
+                {127, 128, 129, 255, 256, 257, 511, 512, 513, 599, 600, 700});
+  std::mt19937 rng(31);
+  std::uniform_real_distribution<float> u(-1100.0f, 1100.0f);
+  for (const std::size_t n : counts) {
+    h.bounds = random_bounds(rng, n);
+    auto values = edge_values(h.bounds);
+    for (int i = 0; i < 64; ++i) values.push_back(u(rng));
+    for (const float v : values) {
+      ASSERT_EQ(h.interval_of(v), lower_bound_index(h.bounds, v))
+          << "n = " << n << ", v = " << v;
+    }
   }
 }
 
@@ -262,6 +318,45 @@ TEST(Splitters, CollectStatsCountsEveryRecord) {
   for (const auto& m : stats.cats) {
     EXPECT_EQ(data::total(m.total()), 2000);
   }
+}
+
+TEST(Splitters, AddBinsEveryLaneAtItsOwnDepth) {
+  // Six histograms of different bound counts, as sketch mode and small
+  // nodes produce: each lane of the search stops at its own depth.
+  std::mt19937 rng(37);
+  const std::array<std::size_t, data::kNumNumeric> sizes = {0, 1, 2,
+                                                            15, 64, 599};
+  auto stats = NodeStats::with_boundaries({}, 1);
+  std::array<std::vector<float>, data::kNumNumeric> edges;
+  for (std::size_t a = 0; a < sizes.size(); ++a) {
+    stats.hists[a].bounds = random_bounds(rng, sizes[a]);
+    stats.hists[a].reset_counts();
+    edges[a] = edge_values(stats.hists[a].bounds);
+  }
+  auto records = random_records(4000, 2, 8);
+  std::uniform_real_distribution<float> u(-1100.0f, 1100.0f);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    for (std::size_t a = 0; a < edges.size(); ++a) {
+      records[i].num[a] =
+          i % 2 == 0 ? edges[a][(i / 2) % edges[a].size()] : u(rng);
+    }
+  }
+
+  std::array<std::vector<ClassCounts>, data::kNumNumeric> want;
+  for (std::size_t a = 0; a < want.size(); ++a) {
+    want[a].resize(sizes[a] + 1);
+  }
+  for (const auto& r : records) {
+    stats.add(r);
+    for (std::size_t a = 0; a < want.size(); ++a) {
+      ++want[a][lower_bound_index(stats.hists[a].bounds, r.num[a])]
+            [static_cast<std::size_t>(r.label)];
+    }
+  }
+  for (std::size_t a = 0; a < want.size(); ++a) {
+    EXPECT_EQ(stats.hists[a].freq, want[a]) << "attribute " << a;
+  }
+  EXPECT_EQ(data::total(stats.counts), 4000);
 }
 
 TEST(Splitters, SsBestIsAmongBoundaryGinis) {

@@ -342,12 +342,26 @@ pclouds::PcloudsConfig fuzz_cfg() {
   return cfg;
 }
 
+io::Scan<Record> memory_scan(const std::vector<Record>& records) {
+  return [&records](const auto& visit) {
+    for (const auto& r : records) visit(r);
+  };
+}
+
+dc::Task root_task(const std::vector<Record>& records) {
+  dc::Task task;
+  task.global_n = records.size();
+  return task;
+}
+
 pclouds::CloudsProblem seeded_problem(const std::vector<Record>& records,
                                       const std::vector<Record>& sample) {
   pclouds::CloudsProblem problem(fuzz_cfg(), records.size(), sample,
                                  clouds::CostHooks{}, nullptr);
-  // Enrich the state beyond the bare root: a solved small node puts a
-  // subtree arena and a task id on the wire.
+  // Enrich the state beyond the bare root: the root's filled statistics
+  // put a live task context (sample, histograms, count matrices) on the
+  // wire, and a solved small node a subtree arena and a task id.
+  (void)problem.local_stats(memory_scan(records), root_task(records));
   dc::Task task;
   task.id = 1;
   task.depth = 2;
@@ -376,9 +390,71 @@ TEST(CodecFuzz, ProblemStateSurvivesMutations) {
     pclouds::CloudsProblem fresh(fuzz_cfg(), records.size(), sample,
                                  clouds::CostHooks{}, nullptr);
     fresh.restore_state(b);
-    // A restore that validated must re-export without tripping ASan.
+    // A restore that validated must re-export, and fill and encode the
+    // root's statistics, without tripping ASan.
     (void)fresh.export_state();
+    (void)fresh.local_stats(memory_scan(records), root_task(records));
   });
+}
+
+/// Offsets into a state blob whose only task context is the root's: its
+/// `filled` byte and its first histogram's interval-count header.
+struct RootCtxAt {
+  std::size_t filled = 0;
+  std::size_t first_freq = 0;
+};
+
+RootCtxAt root_ctx_at(const std::vector<std::byte>& state) {
+  const auto u64_at = [&](std::size_t pos) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, state.data() + pos, sizeof(v));
+    return static_cast<std::size_t>(v);
+  };
+  // export_state() order: three i32 knobs, the tree arena, the node map,
+  // then per context its id, filled and prefilled bytes, sample and stats.
+  std::size_t at = 3 * sizeof(std::int32_t);
+  at += sizeof(std::uint64_t) + u64_at(at) * sizeof(TreeNode);
+  at += sizeof(std::uint64_t) +
+        u64_at(at) * (sizeof(std::int64_t) + sizeof(std::int32_t));
+  EXPECT_EQ(u64_at(at), 1u) << "expected the root context alone";
+  at += sizeof(std::uint64_t) + sizeof(std::int64_t);
+  RootCtxAt out;
+  out.filled = at;
+  at += 2;
+  at += sizeof(std::uint64_t) + u64_at(at) * sizeof(Record);
+  at += sizeof(data::ClassCounts) + sizeof(std::uint64_t);
+  out.first_freq = at + sizeof(std::uint64_t) + u64_at(at) * sizeof(float);
+  return out;
+}
+
+TEST(CodecFuzz, ProblemStateRejectsHistogramCutShort) {
+  const auto records = agrawal_records(500, 17);
+  std::vector<Record> sample(records.begin(), records.begin() + 50);
+  auto blob = seeded_problem(records, sample).export_state();
+  // Cut the first histogram's class counts to one interval and mark the
+  // context unfilled, so a resumed local_stats would bin records into it.
+  const auto at = root_ctx_at(blob);
+  ASSERT_EQ(blob[at.filled], std::byte{1});
+  blob[at.filled] = std::byte{0};
+  {
+    // Unfilled but intact, the context restores: only the cut rejects it.
+    pclouds::CloudsProblem control(fuzz_cfg(), records.size(), sample,
+                                   clouds::CostHooks{}, nullptr);
+    ASSERT_NO_THROW(control.restore_state(blob));
+  }
+  std::uint64_t intervals = 0;
+  std::memcpy(&intervals, blob.data() + at.first_freq, sizeof(intervals));
+  ASSERT_GT(intervals, 1u);
+  const std::uint64_t one = 1;
+  std::memcpy(blob.data() + at.first_freq, &one, sizeof(one));
+  const auto kept = blob.begin() +
+                    static_cast<std::ptrdiff_t>(at.first_freq + sizeof(one) +
+                                                sizeof(data::ClassCounts));
+  blob.erase(kept, kept + static_cast<std::ptrdiff_t>(
+                              (intervals - 1) * sizeof(data::ClassCounts)));
+  pclouds::CloudsProblem fresh(fuzz_cfg(), records.size(), sample,
+                               clouds::CostHooks{}, nullptr);
+  EXPECT_THROW(fresh.restore_state(blob), WireError);
 }
 
 /// CloudsProblem::export_state() opens with three i32 combiner knobs and
