@@ -233,8 +233,9 @@ inline ExpResult run_experiment(const ExpParams& params) {
       }
       std::error_code ec;
       std::filesystem::create_directories(profile_env, ec);
-      profile.write_json(std::string(profile_env) + "/" + stem +
-                         ".profile.json");
+      obs::write_json_file(
+          std::string(profile_env) + "/" + stem + ".profile.json",
+          profile.to_json().dump());
     }
   }
   emit_json_row(params, out);
@@ -243,17 +244,12 @@ inline ExpResult run_experiment(const ExpParams& params) {
 
 /// When PDC_BENCH_JSON names a file, appends `row` to it as one JSON line
 /// (JSONL), so suites can be post-processed without scraping the
-/// human-readable tables.  Every bench row goes through here.
+/// human-readable tables.  Every bench row goes through here; a row that
+/// cannot be written throws (obs::write_json_file).
 inline void append_json_row(const obs::Json& row) {
   const char* path = std::getenv("PDC_BENCH_JSON");
   if (!path || !*path) return;
-  const std::string line = row.dump() + "\n";
-  if (std::FILE* f = std::fopen(path, "ab")) {
-    std::fwrite(line.data(), 1, line.size(), f);
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "bench: cannot append to PDC_BENCH_JSON=%s\n", path);
-  }
+  obs::write_json_file(path, row.dump(), /*append=*/true);
 }
 
 /// A JSON number.  Counts travel as doubles, exact up to 2^53, so %.17g

@@ -53,6 +53,7 @@
 #include "io/scratch.hpp"
 #include "mp/lockstep.hpp"
 #include "mp/runtime.hpp"
+#include "obs/json.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -476,7 +477,7 @@ int main(int argc, char** argv) {
       }
       if (tracer) run.metrics = tracer->merged_metrics();
       try {
-        run.write_json(opt.report_path);
+        obs::write_json_file(opt.report_path, run.to_json().dump());
         std::fprintf(stderr, "pclouds_cli: divergence report: %s\n",
                      opt.report_path.c_str());
       } catch (const std::exception& we) {
@@ -548,7 +549,7 @@ int main(int argc, char** argv) {
   if (!opt.profile_path.empty()) {
     try {
       const obs::Profile profile = obs::build_profile(*tracer, report.clocks);
-      profile.write_json(opt.profile_path);
+      obs::write_json_file(opt.profile_path, profile.to_json().dump());
       if (!opt.trace_path.empty()) overlay = obs::overlay_events(profile);
       std::printf("profile     : %s\n%s", opt.profile_path.c_str(),
                   obs::format_profile_summary(profile).c_str());
@@ -559,8 +560,9 @@ int main(int argc, char** argv) {
   }
   if (!opt.trace_path.empty()) {
     try {
-      tracer->write_chrome_json(opt.trace_path,
-                                overlay.empty() ? nullptr : &overlay);
+      obs::write_json_file(
+          opt.trace_path,
+          tracer->chrome_json(overlay.empty() ? nullptr : &overlay));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "pclouds_cli: %s\n", e.what());
       return 1;
@@ -584,7 +586,7 @@ int main(int argc, char** argv) {
     run.accuracy = confusion.accuracy();
     run.metrics = tracer->merged_metrics();
     try {
-      run.write_json(opt.report_path);
+      obs::write_json_file(opt.report_path, run.to_json().dump());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "pclouds_cli: %s\n", e.what());
       return 1;

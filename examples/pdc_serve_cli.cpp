@@ -25,6 +25,7 @@
 #include "clouds/builder.hpp"
 #include "clouds/model_io.hpp"
 #include "data/agrawal.hpp"
+#include "obs/json.hpp"
 #include "serve/compiled_tree.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
@@ -211,16 +212,7 @@ int main(int argc, char** argv) {
     }
 
     if (!opt.report_path.empty()) {
-      const std::string json = report.to_json();
-      std::FILE* f = std::fopen(opt.report_path.c_str(), "wb");
-      if (!f) {
-        std::fprintf(stderr, "pdc_serve_cli: cannot write %s\n",
-                     opt.report_path.c_str());
-        return 1;
-      }
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
+      pdc::obs::write_json_file(opt.report_path, report.to_json().dump());
       std::printf("report: %s\n", opt.report_path.c_str());
     }
   } catch (const std::exception& e) {

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Argument-handling tests for pclouds_cli: bad flags and malformed
 values must exit 2 with a message naming the offending flag on stderr,
-and a small good run must exit 0.
+and a small good run must exit 0.  Both CLIs must exit 1, naming the path,
+when a --report document cannot be written (a full disk included).
 
-Usage: test_cli.py /path/to/pclouds_cli
+Usage: test_cli.py /path/to/pclouds_cli /path/to/pdc_serve_cli
 """
 
+import os
 import subprocess
 import sys
 import unittest
 
 CLI = None
+SERVE_CLI = None
 
 # Kept tiny so the one good-path run stays fast.
 GOOD_ARGS = ["--procs", "2", "--records", "2000", "--q", "50", "--no-prune"]
@@ -73,8 +76,30 @@ class AcceptsGoodArguments(unittest.TestCase):
         self.assertIn("modeled time", r.stdout)
 
 
+@unittest.skipUnless(os.path.exists("/dev/full"), "/dev/full not available")
+class ReportsALostDocument(unittest.TestCase):
+    """A document smaller than the stdio buffer fails only at fclose; the
+    CLI must not print the path and exit 0 as if it were written."""
+
+    def check_fails_naming_path(self, argv):
+        r = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        self.assertEqual(r.returncode, 1, f"{argv}: rc={r.returncode}")
+        self.assertIn("/dev/full", r.stderr)
+
+    def test_pclouds_cli_report_on_a_full_disk_exits_1(self):
+        self.check_fails_naming_path(
+            [CLI, *GOOD_ARGS, "--report", "/dev/full"])
+
+    def test_pdc_serve_cli_report_on_a_full_disk_exits_1(self):
+        self.check_fails_naming_path(
+            [SERVE_CLI, "--requests", "8", "--train-records", "2000",
+             "--report", "/dev/full"])
+
+
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
-        sys.exit("usage: test_cli.py /path/to/pclouds_cli")
+    if len(sys.argv) < 3:
+        sys.exit("usage: test_cli.py /path/to/pclouds_cli "
+                 "/path/to/pdc_serve_cli")
     CLI = sys.argv.pop(1)
+    SERVE_CLI = sys.argv.pop(1)
     unittest.main()

@@ -14,10 +14,10 @@
 //                   stream shares the memory budget, so streaming blocks
 //                   shrink with the level width — the out-of-core penalty
 //                   the paper attributes to concatenated parallelism.
-//   kTaskParallel   every task below the root split is assigned to a single
-//                   owner with compute-dependent parallel I/O (data is
-//                   redistributed to the owner, which solves the subtree
-//                   locally).  Degenerates badly at upper levels, as the
+//   kTaskParallel   the root task itself goes to a single owner with
+//                   compute-dependent parallel I/O: all data is
+//                   redistributed to that owner, which solves the whole
+//                   tree locally.  Degenerates badly at upper levels, as the
 //                   paper notes.
 //   kMixed          the paper's choice: data parallelism for large tasks;
 //                   tasks at or below `small_threshold` records are

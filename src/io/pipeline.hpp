@@ -35,12 +35,6 @@ struct PipelineConfig {
   bool enabled = false;
   /// Outstanding async requests per stream (2 = classic double buffering).
   std::size_t queue_depth = 2;
-  /// Nonzero overrides the caller-derived block size (records per request).
-  std::size_t block_records = 0;
-
-  std::size_t block_or(std::size_t fallback) const {
-    return block_records != 0 ? block_records : fallback;
-  }
 };
 
 /// Streams fixed-size records with background read-ahead.
@@ -51,7 +45,8 @@ class BlockReader {
               std::size_t block_records, const PipelineConfig& cfg = {})
       : disk_(&disk),
         name_(name),
-        block_records_(std::max<std::size_t>(1, cfg.block_or(block_records))) {
+        block_records_(std::max<std::size_t>(1, block_records)) {
+    // pdc: io-wrapper(opens the stream only; each block request is charged at LocalDisk::settle_async)
     if (!cfg.enabled) {
       sync_.emplace(disk, name, block_records_);
       return;
@@ -174,7 +169,8 @@ class BlockWriter {
               bool append = false)
       : disk_(&disk),
         name_(name),
-        block_records_(std::max<std::size_t>(1, cfg.block_or(block_records))) {
+        block_records_(std::max<std::size_t>(1, block_records)) {
+    // pdc: io-wrapper(opens the stream only; each block request is charged at LocalDisk::settle_async)
     if (!cfg.enabled) {
       sync_.emplace(disk, name, block_records_, append);
       return;

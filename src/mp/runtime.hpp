@@ -72,7 +72,7 @@ class Runtime {
   /// Run `body` on every rank.  Blocking; returns when all ranks finish.
   /// When `tracer` is non-null (it must have been built with the same
   /// nprocs), every rank records spans/metrics onto its track; the tracer
-  /// outlives the run and can then be exported with write_chrome_json().
+  /// outlives the run and can then be exported with chrome_json().
   /// When `faults` is non-null each rank gets a fault injector over the
   /// plan, reachable via Comm::fault(); an injected comm fault aborts the
   /// whole run and rethrows here, like any other rank failure.

@@ -1,9 +1,11 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 namespace pdc::obs {
@@ -19,6 +21,15 @@ Json Json::make_number(double v) {
   Json j;
   j.type_ = Type::kNumber;
   j.number_ = v;
+  return j;
+}
+
+Json Json::make_uint(std::uint64_t v) {
+  Json j;
+  j.type_ = Type::kNumber;
+  j.exact_ = true;
+  j.uint_ = v;
+  j.number_ = static_cast<double>(v);
   return j;
 }
 
@@ -108,6 +119,9 @@ void Json::set(std::string key, Json v) {
   object_.emplace_back(std::move(key), std::move(v));
 }
 
+namespace {
+
+/// Escapes `s` for inclusion inside a JSON string literal (no quotes).
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -132,6 +146,7 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+/// %.17g, with non-finite values mapped to null (JSON has no inf/nan).
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[32];
@@ -139,11 +154,14 @@ std::string json_number(double v) {
   return buf;
 }
 
+}  // namespace
+
 std::string Json::dump() const {
   switch (type_) {
     case Type::kNull: return "null";
     case Type::kBool: return bool_ ? "true" : "false";
-    case Type::kNumber: return json_number(number_);
+    case Type::kNumber:
+      return exact_ ? std::to_string(uint_) : json_number(number_);
     case Type::kString: return "\"" + json_escape(string_) + "\"";
     case Type::kArray: {
       std::string out = "[";
@@ -165,6 +183,22 @@ std::string Json::dump() const {
     }
   }
   return "null";
+}
+
+void write_json_file(const std::string& path, std::string_view json,
+                     bool append) {
+  // pdc: io-wrapper(observer export after the modeled run; never on the modeled timeline)
+  std::FILE* f = std::fopen(path.c_str(), append ? "ab" : "wb");
+  if (f) {
+    const bool written =
+        std::fwrite(json.data(), 1, json.size(), f) == json.size() &&
+        std::fputc('\n', f) == '\n';
+    const int write_errno = errno;
+    if (std::fclose(f) == 0 && written) return;
+    if (!written) errno = write_errno;
+  }
+  throw std::runtime_error("cannot write " + path + ": " +
+                           std::strerror(errno));
 }
 
 namespace {

@@ -1,17 +1,18 @@
 #pragma once
 
-// Minimal JSON: a value tree, a recursive-descent parser, and the string
-// escaping the exporters share.  Scope is deliberately small — enough to
-// round-trip the documents this repository emits (run reports, Chrome
-// traces, bench rows) and to let tests assert their structure.  Numbers
-// are stored as double; emitters format with %.17g so doubles survive a
-// parse/serialize cycle exactly.
+// Minimal JSON: a value tree, a recursive-descent parser, and the one file
+// writer every artifact goes through.  Scope is deliberately small — enough
+// to emit and round-trip the documents this repository produces (run
+// reports, profiles, Chrome traces, serve and drift reports, bench rows)
+// and to let tests assert their structure.  Numbers are parsed as double;
+// emitters format doubles with %.17g so they survive a parse/serialize
+// cycle exactly, and print 64-bit ids and counts from make_uint exactly (a
+// double rounds them above 2^53).  dump() is compact: no whitespace.
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace pdc::obs {
@@ -23,6 +24,8 @@ class Json {
   Json() = default;
   static Json make_bool(bool b);
   static Json make_number(double v);
+  /// A kNumber that dump() prints as exactly `v` (as_number() rounds it).
+  static Json make_uint(std::uint64_t v);
   static Json make_string(std::string s);
   static Json make_array();
   static Json make_object();
@@ -61,20 +64,21 @@ class Json {
  private:
   Type type_ = Type::kNull;
   bool bool_ = false;
+  bool exact_ = false;  ///< kNumber is uint_ (number_ is its double)
   double number_ = 0.0;
+  std::uint64_t uint_ = 0;
   std::string string_;
   std::vector<Json> array_;
   // Insertion-ordered object representation: (key, value) pairs.
   std::vector<std::pair<std::string, Json>> object_;
-
-  friend class JsonParser;
 };
 
-/// Escapes `s` for inclusion inside a JSON string literal (no quotes).
-std::string json_escape(std::string_view s);
-
-/// Formats a double the way every emitter in this repo does: %.17g, with
-/// non-finite values mapped to null (JSON has no inf/nan).
-std::string json_number(double v);
+/// Writes `json` and a newline to `path`, replacing the file, or adding
+/// one line to it when `append` is set (JSONL bench rows).  The one writer
+/// for every document and row: throws std::runtime_error naming `path`
+/// when the file cannot be opened, written or closed — a full disk often
+/// surfaces only when fclose flushes the buffer.
+void write_json_file(const std::string& path, std::string_view json,
+                     bool append = false);
 
 }  // namespace pdc::obs

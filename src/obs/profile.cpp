@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
-#include <stdexcept>
 #include <string_view>
 
-#include "obs/json.hpp"
 #include "obs/span_names.hpp"
 
 namespace pdc::obs {
@@ -120,11 +117,13 @@ std::string_view overlay_name(CritBucket b) {
   return span_names::kCritCompute;
 }
 
-void append_slice_json(std::string& out, const Profile::Slice& s) {
-  out += "{\"compute_s\":" + json_number(s.compute_s);
-  out += ",\"comm_s\":" + json_number(s.comm_s);
-  out += ",\"io_s\":" + json_number(s.io_s);
-  out += ",\"idle_s\":" + json_number(s.idle_s) + "}";
+Json slice_json(const Profile::Slice& s) {
+  Json j = Json::make_object();
+  j.set("compute_s", Json::make_number(s.compute_s));
+  j.set("comm_s", Json::make_number(s.comm_s));
+  j.set("io_s", Json::make_number(s.io_s));
+  j.set("idle_s", Json::make_number(s.idle_s));
+  return j;
 }
 
 }  // namespace
@@ -294,80 +293,58 @@ Profile build_profile(const Tracer& tracer,
   return p;
 }
 
-std::string Profile::to_json() const {
-  std::string out = "{\n  \"schema\": \"pdc.profile.v1\",\n";
-  out += "  \"nprocs\": " + json_number(nprocs) + ",\n";
-  out += "  \"parallel_time_s\": " + json_number(parallel_time_s) + ",\n";
-  out += "  \"max_idle_s\": " + json_number(max_idle_s) + ",\n";
-  out += "  \"crit\": ";
-  append_slice_json(out, crit);
-  out += ",\n  \"by_phase\": {";
-  bool first = true;
-  for (const auto& [name, slice] : by_phase) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n    \"" + json_escape(name) + "\": ";
-    append_slice_json(out, slice);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"by_depth\": {";
-  first = true;
-  for (const auto& [key, slice] : by_depth) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n    \"" + json_escape(key) + "\": ";
-    append_slice_json(out, slice);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"rollups\": [";
-  first = true;
-  for (const Rollup& r : rollups) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n    {\"name\":\"" + json_escape(r.name) + "\"";
-    out += ",\"cat\":\"" + json_escape(r.cat) + "\"";
-    out += ",\"count\":" + json_number(static_cast<double>(r.count));
-    out += ",\"total_s\":" + json_number(r.total_s);
-    out += ",\"self_s\":" + json_number(r.self_s);
-    out += ",\"crit_s\":" + json_number(r.crit_s) + "}";
-  }
-  out += first ? "],\n" : "\n  ],\n";
-  out += "  \"whatif\": {";
-  out += "\"t_baseline_s\":" + json_number(t_baseline_s);
-  out += ",\"t_comm_free_s\":" + json_number(t_comm_free_s);
-  out += ",\"t_io_free_s\":" + json_number(t_io_free_s);
-  out += ",\"t_balanced_s\":" + json_number(t_balanced_s);
-  out += ",\"headroom_comm\":" + json_number(headroom_comm);
-  out += ",\"headroom_io\":" + json_number(headroom_io);
-  out += ",\"headroom_balance\":" + json_number(headroom_balance) + "},\n";
-  out += "  \"segments\": [";
-  first = true;
-  for (const CritSegment& s : segments) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n    {\"rank\":" + json_number(s.rank);
-    out += ",\"begin_s\":" + json_number(s.begin_s);
-    out += ",\"end_s\":" + json_number(s.end_s);
-    out += ",\"bucket\":\"" + std::string(bucket_name(s.bucket)) + "\"";
-    out += ",\"op\":\"" + json_escape(s.op) + "\"}";
-  }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
-}
-
-void Profile::write_json(const std::string& path) const {
-  // pdc: io-wrapper(observer export after the modeled run; never on the modeled timeline)
-  struct FileCloser {
-    void operator()(std::FILE* f) const {
-      if (f) std::fclose(f);
-    }
+Json Profile::to_json() const {
+  const auto num = [](double v) { return Json::make_number(v); };
+  const auto str = [](std::string_view v) {
+    return Json::make_string(std::string(v));
   };
-  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "wb"));
-  if (!f) throw std::runtime_error("Profile: cannot create " + path);
-  const std::string doc = to_json();
-  if (std::fwrite(doc.data(), 1, doc.size(), f.get()) != doc.size()) {
-    throw std::runtime_error("Profile: short write to " + path);
+  Json doc = Json::make_object();
+  doc.set("schema", str("pdc.profile.v1"));
+  doc.set("nprocs", num(nprocs));
+  doc.set("parallel_time_s", num(parallel_time_s));
+  doc.set("max_idle_s", num(max_idle_s));
+  doc.set("crit", slice_json(crit));
+  Json jphase = Json::make_object();
+  for (const auto& [name, slice] : by_phase) {
+    jphase.set(name, slice_json(slice));
   }
+  doc.set("by_phase", std::move(jphase));
+  Json jdepth = Json::make_object();
+  for (const auto& [key, slice] : by_depth) jdepth.set(key, slice_json(slice));
+  doc.set("by_depth", std::move(jdepth));
+  Json jrollups = Json::make_array();
+  for (const Rollup& r : rollups) {
+    Json jr = Json::make_object();
+    jr.set("name", str(r.name));
+    jr.set("cat", str(r.cat));
+    jr.set("count", Json::make_uint(r.count));
+    jr.set("total_s", num(r.total_s));
+    jr.set("self_s", num(r.self_s));
+    jr.set("crit_s", num(r.crit_s));
+    jrollups.push_back(std::move(jr));
+  }
+  doc.set("rollups", std::move(jrollups));
+  Json jwhatif = Json::make_object();
+  jwhatif.set("t_baseline_s", num(t_baseline_s));
+  jwhatif.set("t_comm_free_s", num(t_comm_free_s));
+  jwhatif.set("t_io_free_s", num(t_io_free_s));
+  jwhatif.set("t_balanced_s", num(t_balanced_s));
+  jwhatif.set("headroom_comm", num(headroom_comm));
+  jwhatif.set("headroom_io", num(headroom_io));
+  jwhatif.set("headroom_balance", num(headroom_balance));
+  doc.set("whatif", std::move(jwhatif));
+  Json jsegments = Json::make_array();
+  for (const CritSegment& seg : segments) {
+    Json js = Json::make_object();
+    js.set("rank", num(seg.rank));
+    js.set("begin_s", num(seg.begin_s));
+    js.set("end_s", num(seg.end_s));
+    js.set("bucket", str(bucket_name(seg.bucket)));
+    js.set("op", str(seg.op));
+    jsegments.push_back(std::move(js));
+  }
+  doc.set("segments", std::move(jsegments));
+  return doc;
 }
 
 std::vector<std::pair<int, TraceEvent>> overlay_events(const Profile& p) {

@@ -46,6 +46,7 @@
 
 #include "mp/clock.hpp"
 #include "obs/critpath.hpp"
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace pdc::obs {
@@ -96,8 +97,7 @@ struct Profile {
   /// The path itself, ordered backwards in time (see CritGraph).
   std::vector<CritSegment> segments;
 
-  std::string to_json() const;
-  void write_json(const std::string& path) const;
+  Json to_json() const;
 };
 
 /// Builds the full profile from a recorded run.  Pure observer: reads the

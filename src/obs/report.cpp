@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <stdexcept>
-
-#include "obs/json.hpp"
 
 namespace pdc::obs {
 
@@ -35,108 +32,79 @@ io::IoStats RunReport::total_io() const {
   return total;
 }
 
-namespace {
-
-std::string u64(std::uint64_t v) { return std::to_string(v); }
-
-}  // namespace
-
-std::string RunReport::to_json() const {
-  std::string out = "{\n";
-  out += "  \"schema\": \"pdc.run_report.v1\",\n";
-  out += "  \"classifier\": \"" + json_escape(classifier) + "\",\n";
-  out += "  \"nprocs\": " + std::to_string(nprocs) + ",\n";
-  out += "  \"records\": " + u64(records) + ",\n";
-  out += "  \"parallel_time_s\": " + json_number(parallel_time_s()) + ",\n";
-  out += "  \"balance\": " + json_number(balance()) + ",\n";
-  out += "  \"ranks\": [\n";
+Json RunReport::to_json() const {
+  const auto num = [](double v) { return Json::make_number(v); };
+  const auto exact = [](std::uint64_t v) { return Json::make_uint(v); };
+  Json doc = Json::make_object();
+  doc.set("schema", Json::make_string("pdc.run_report.v1"));
+  doc.set("classifier", Json::make_string(classifier));
+  doc.set("nprocs", num(nprocs));
+  doc.set("records", exact(records));
+  doc.set("parallel_time_s", num(parallel_time_s()));
+  doc.set("balance", num(balance()));
+  Json jranks = Json::make_array();
   for (std::size_t r = 0; r < ranks.size(); ++r) {
     const auto& rk = ranks[r];
-    out += "    {\"rank\": " + std::to_string(r) +
-           ", \"compute_s\": " + json_number(rk.clock.compute_s) +
-           ", \"comm_s\": " + json_number(rk.clock.comm_s) +
-           ", \"io_s\": " + json_number(rk.clock.io_s) +
-           ", \"io_hidden_s\": " + json_number(rk.clock.io_hidden_s) +
-           ", \"idle_s\": " + json_number(rk.clock.idle_s) +
-           ", \"total_s\": " + json_number(rk.clock.total()) +
-           ", \"read_ops\": " + u64(rk.io.read_ops) +
-           ", \"write_ops\": " + u64(rk.io.write_ops) +
-           ", \"bytes_read\": " + u64(rk.io.bytes_read) +
-           ", \"bytes_written\": " + u64(rk.io.bytes_written) + "}";
-    out += (r + 1 < ranks.size()) ? ",\n" : "\n";
+    Json jr = Json::make_object();
+    jr.set("rank", exact(r));
+    jr.set("compute_s", num(rk.clock.compute_s));
+    jr.set("comm_s", num(rk.clock.comm_s));
+    jr.set("io_s", num(rk.clock.io_s));
+    jr.set("io_hidden_s", num(rk.clock.io_hidden_s));
+    jr.set("idle_s", num(rk.clock.idle_s));
+    jr.set("total_s", num(rk.clock.total()));
+    jr.set("read_ops", exact(rk.io.read_ops));
+    jr.set("write_ops", exact(rk.io.write_ops));
+    jr.set("bytes_read", exact(rk.io.bytes_read));
+    jr.set("bytes_written", exact(rk.io.bytes_written));
+    jranks.push_back(std::move(jr));
   }
-  out += "  ],\n";
-  out += "  \"tree\": {\"nodes\": " + u64(tree.nodes) +
-         ", \"leaves\": " + u64(tree.leaves) +
-         ", \"depth\": " + std::to_string(tree.depth) + "},\n";
+  doc.set("ranks", std::move(jranks));
+  Json jtree = Json::make_object();
+  jtree.set("nodes", exact(tree.nodes));
+  jtree.set("leaves", exact(tree.leaves));
+  jtree.set("depth", num(tree.depth));
+  doc.set("tree", std::move(jtree));
   if (!lockstep_divergence.empty()) {
-    out += "  \"lockstep_divergence\": [\n";
-    for (std::size_t i = 0; i < lockstep_divergence.size(); ++i) {
-      const auto& e = lockstep_divergence[i];
+    Json jlock = Json::make_array();
+    for (const auto& e : lockstep_divergence) {
       char site_hex[17];
       std::snprintf(site_hex, sizeof(site_hex), "%016llx",
                     static_cast<unsigned long long>(e.site));
-      out += "    {\"rank\": " + std::to_string(e.rank) +
-             ", \"global_rank\": " + std::to_string(e.global_rank) +
-             ", \"site\": \"" + site_hex + "\", \"seq\": " + u64(e.seq) +
-             ", \"prim\": \"" + json_escape(e.prim) + "\", \"where\": \"" +
-             json_escape(e.where) + "\"}";
-      out += (i + 1 < lockstep_divergence.size()) ? ",\n" : "\n";
+      Json je = Json::make_object();
+      je.set("rank", num(e.rank));
+      je.set("global_rank", num(e.global_rank));
+      je.set("site", Json::make_string(site_hex));
+      je.set("seq", exact(e.seq));
+      je.set("prim", Json::make_string(e.prim));
+      je.set("where", Json::make_string(e.where));
+      jlock.push_back(std::move(je));
     }
-    out += "  ],\n";
+    doc.set("lockstep_divergence", std::move(jlock));
   }
-  if (accuracy >= 0.0) {
-    out += "  \"accuracy\": " + json_number(accuracy) + ",\n";
+  if (accuracy >= 0.0) doc.set("accuracy", num(accuracy));
+  Json counters = Json::make_object();
+  for (const auto& [name, c] : metrics.counters()) {
+    counters.set(name, exact(c.value));
   }
-  out += "  \"metrics\": {\n";
-  out += "    \"counters\": {";
-  {
-    bool first = true;
-    for (const auto& [name, c] : metrics.counters()) {
-      if (!first) out += ", ";
-      first = false;
-      out += "\"" + json_escape(name) + "\": " + u64(c.value);
-    }
+  Json gauges = Json::make_object();
+  for (const auto& [name, g] : metrics.gauges()) gauges.set(name, num(g.value));
+  Json histograms = Json::make_object();
+  for (const auto& [name, h] : metrics.histograms()) {
+    Json jh = Json::make_object();
+    jh.set("count", exact(h.count));
+    jh.set("sum", num(h.sum));
+    jh.set("min", num(h.min));
+    jh.set("max", num(h.max));
+    jh.set("mean", num(h.mean()));
+    histograms.set(name, std::move(jh));
   }
-  out += "},\n    \"gauges\": {";
-  {
-    bool first = true;
-    for (const auto& [name, g] : metrics.gauges()) {
-      if (!first) out += ", ";
-      first = false;
-      out += "\"" + json_escape(name) + "\": " + json_number(g.value);
-    }
-  }
-  out += "},\n    \"histograms\": {";
-  {
-    bool first = true;
-    for (const auto& [name, h] : metrics.histograms()) {
-      if (!first) out += ", ";
-      first = false;
-      out += "\"" + json_escape(name) + "\": {\"count\": " + u64(h.count) +
-             ", \"sum\": " + json_number(h.sum) +
-             ", \"min\": " + json_number(h.min) +
-             ", \"max\": " + json_number(h.max) +
-             ", \"mean\": " + json_number(h.mean()) + "}";
-    }
-  }
-  out += "}\n  }\n}\n";
-  return out;
-}
-
-void RunReport::write_json(const std::string& path) const {
-  // pdc: io-wrapper(observer export after the modeled run; never on the modeled timeline)
-  struct FileCloser {
-    void operator()(std::FILE* f) const {
-      if (f) std::fclose(f);
-    }
-  };
-  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "wb"));
-  if (!f) throw std::runtime_error("RunReport: cannot create " + path);
-  const std::string doc = to_json();
-  if (std::fwrite(doc.data(), 1, doc.size(), f.get()) != doc.size()) {
-    throw std::runtime_error("RunReport: short write to " + path);
-  }
+  Json jmetrics = Json::make_object();
+  jmetrics.set("counters", std::move(counters));
+  jmetrics.set("gauges", std::move(gauges));
+  jmetrics.set("histograms", std::move(histograms));
+  doc.set("metrics", std::move(jmetrics));
+  return doc;
 }
 
 RunReport RunReport::from_json(std::string_view text) {

@@ -33,6 +33,7 @@
 
 #include "io/iostats.hpp"
 #include "mp/clock.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace pdc::obs {
@@ -78,8 +79,7 @@ struct RunReport {
   /// All ranks' IoStats summed.
   io::IoStats total_io() const;
 
-  std::string to_json() const;
-  void write_json(const std::string& path) const;
+  Json to_json() const;
   static RunReport from_json(std::string_view text);
 };
 

@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 
 #include "obs/json.hpp"
@@ -86,106 +85,84 @@ void RankTracer::do_gauge(std::string_view name, double value) const {
 
 namespace {
 
-/// Modeled seconds -> trace microseconds (Chrome's native unit).
-std::string trace_us(double seconds) { return json_number(seconds * 1e6); }
-
-void append_event_json(std::string& out, const TraceEvent& ev, int rank) {
-  const std::string common = "\"pid\":0,\"tid\":" + std::to_string(rank) +
-                             ",\"ts\":" + trace_us(ev.begin_s);
+/// One trace_event object; modeled seconds become trace microseconds
+/// (Chrome's native unit).
+Json event_json(const TraceEvent& ev, int rank) {
+  const auto str = [](const char* v) { return Json::make_string(v); };
+  const auto us = [](double s) { return Json::make_number(s * 1e6); };
+  const bool counter = ev.kind == TraceEvent::Kind::kCounter;
+  Json j = Json::make_object();
+  j.set("name", Json::make_string(ev.name));
+  if (!counter) j.set("cat", Json::make_string(ev.cat));
   switch (ev.kind) {
-    case TraceEvent::Kind::kComplete: {
-      out += "{\"name\":\"" + json_escape(ev.name) + "\",\"cat\":\"" +
-             json_escape(ev.cat) + "\",\"ph\":\"X\"," + common +
-             ",\"dur\":" + trace_us(ev.end_s - ev.begin_s);
-      const bool any_arg = ev.bytes != kNoArg || ev.n != kNoArg ||
-                           ev.site != kNoArg || ev.comm != kNoArg ||
-                           ev.seq != kNoArg || ev.peer != kNoArg ||
-                           ev.depth != kNoArg;
-      if (any_arg) {
-        out += ",\"args\":{";
-        bool first = true;
-        const auto arg = [&](const char* key, std::uint64_t v) {
-          if (v == kNoArg) return;
-          if (!first) out += ",";
-          first = false;
-          out += std::string("\"") + key + "\":" + std::to_string(v);
-        };
-        arg("bytes", ev.bytes);
-        arg("n", ev.n);
-        if (ev.site != kNoArg) {
-          // Site hashes render as hex to match the lockstep reports.
-          char hex[17];
-          std::snprintf(hex, sizeof(hex), "%016llx",
-                        static_cast<unsigned long long>(ev.site));
-          if (!first) out += ",";
-          first = false;
-          out += std::string("\"site\":\"") + hex + "\"";
-        }
-        arg("comm", ev.comm);
-        arg("seq", ev.seq);
-        arg("peer", ev.peer);
-        arg("depth", ev.depth);
-        out += "}";
-      }
-      out += "}";
-      break;
-    }
+    case TraceEvent::Kind::kComplete: j.set("ph", str("X")); break;
     case TraceEvent::Kind::kInstant:
-      out += "{\"name\":\"" + json_escape(ev.name) + "\",\"cat\":\"" +
-             json_escape(ev.cat) + "\",\"ph\":\"i\",\"s\":\"t\"," + common +
-             "}";
+      j.set("ph", str("i"));
+      j.set("s", str("t"));
       break;
-    case TraceEvent::Kind::kCounter:
-      out += "{\"name\":\"" + json_escape(ev.name) + "\",\"ph\":\"C\"," +
-             common + ",\"args\":{\"value\":" + json_number(ev.value) + "}}";
-      break;
+    case TraceEvent::Kind::kCounter: j.set("ph", str("C")); break;
   }
+  j.set("pid", Json::make_number(0));
+  j.set("tid", Json::make_number(rank));
+  j.set("ts", us(ev.begin_s));
+  Json args = Json::make_object();
+  if (counter) args.set("value", Json::make_number(ev.value));
+  if (ev.kind == TraceEvent::Kind::kComplete) {
+    j.set("dur", us(ev.end_s - ev.begin_s));
+    const auto arg = [&args](const char* key, std::uint64_t v) {
+      if (v != kNoArg) args.set(key, Json::make_uint(v));
+    };
+    arg("bytes", ev.bytes);
+    arg("n", ev.n);
+    if (ev.site != kNoArg) {
+      // Site hashes render as hex to match the lockstep reports.
+      char hex[17];
+      std::snprintf(hex, sizeof(hex), "%016llx",
+                    static_cast<unsigned long long>(ev.site));
+      args.set("site", str(hex));
+    }
+    arg("comm", ev.comm);
+    arg("seq", ev.seq);
+    arg("peer", ev.peer);
+    arg("depth", ev.depth);
+  }
+  if (args.size() != 0) j.set("args", std::move(args));
+  return j;
 }
 
 }  // namespace
 
 std::string Tracer::chrome_json(
     const std::vector<std::pair<int, TraceEvent>>* extra) const {
+  // Events are serialized one at a time into the literal frame, so the
+  // document never exists as one Json tree.
   std::string out = "{\"traceEvents\":[";
-  bool first = true;
   for (int r = 0; r < nranks(); ++r) {
     // Name the track so Perfetto shows "rank N" instead of a bare tid.
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-           std::to_string(r) + ",\"args\":{\"name\":\"rank " +
-           std::to_string(r) + "\"}}";
+    Json meta = Json::make_object();
+    meta.set("name", Json::make_string("thread_name"));
+    meta.set("ph", Json::make_string("M"));
+    meta.set("pid", Json::make_number(0));
+    meta.set("tid", Json::make_number(r));
+    Json meta_args = Json::make_object();
+    meta_args.set("name", Json::make_string("rank " + std::to_string(r)));
+    meta.set("args", std::move(meta_args));
+    if (r != 0) out += ',';
+    out += meta.dump();
     for (const auto& ev : tracks_[static_cast<std::size_t>(r)].events) {
-      out += ",\n";
-      append_event_json(out, ev, r);
+      out += ',';
+      out += event_json(ev, r).dump();
     }
     if (extra) {
       for (const auto& [rank, ev] : *extra) {
         if (rank != r) continue;
-        out += ",\n";
-        append_event_json(out, ev, r);
+        out += ',';
+        out += event_json(ev, r).dump();
       }
     }
   }
   out += "],\"displayTimeUnit\":\"ms\"}";
   return out;
-}
-
-void Tracer::write_chrome_json(
-    const std::string& path,
-    const std::vector<std::pair<int, TraceEvent>>* extra) const {
-  // pdc: io-wrapper(observer export after the modeled run; never on the modeled timeline)
-  struct FileCloser {
-    void operator()(std::FILE* f) const {
-      if (f) std::fclose(f);
-    }
-  };
-  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "wb"));
-  if (!f) throw std::runtime_error("Tracer: cannot create " + path);
-  const std::string doc = chrome_json(extra);
-  if (std::fwrite(doc.data(), 1, doc.size(), f.get()) != doc.size()) {
-    throw std::runtime_error("Tracer: short write to " + path);
-  }
 }
 
 }  // namespace pdc::obs

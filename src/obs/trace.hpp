@@ -224,9 +224,6 @@ class Tracer {
   /// never mutated.
   std::string chrome_json(
       const std::vector<std::pair<int, TraceEvent>>* extra = nullptr) const;
-  void write_chrome_json(
-      const std::string& path,
-      const std::vector<std::pair<int, TraceEvent>>* extra = nullptr) const;
 
  private:
   friend class RankTracer;

@@ -67,8 +67,6 @@ struct PcloudsConfig {
   std::size_t memory_bytes = 1 << 20;
 
   BoundarySource boundaries = BoundarySource::kSample;
-  /// Per-level compactor capacity for BoundarySource::kSketch.
-  std::size_t sketch_k = 256;
 
   /// Snapshot the driver's state every N dequeued tasks (0 = off); see
   /// dc::DcConfig::checkpoint_every.

@@ -44,7 +44,7 @@ CloudsProblem::TaskCtx& CloudsProblem::ctx_of(const dc::Task& task) {
   if (sketch_mode()) {
     ctx.local = NodeStats::with_boundaries({}, cfg_.clouds.q_min);
     ctx.sketches.assign(data::kNumNumeric,
-                        clouds::QuantileSketch(cfg_.sketch_k));
+                        clouds::QuantileSketch(kSketchK));
   } else {
     ctx.sample = root_sample_;
     const int q = cfg_.clouds.q_for(task.global_n, root_records_);
@@ -252,9 +252,9 @@ std::optional<CloudsProblem::Router> CloudsProblem::decide(
     lc.local = NodeStats::with_boundaries({}, cfg_.clouds.q_min);
     rc.local = NodeStats::with_boundaries({}, cfg_.clouds.q_min);
     lc.sketches.assign(data::kNumNumeric,
-                       clouds::QuantileSketch(cfg_.sketch_k));
+                       clouds::QuantileSketch(kSketchK));
     rc.sketches.assign(data::kNumNumeric,
-                       clouds::QuantileSketch(cfg_.sketch_k));
+                       clouds::QuantileSketch(kSketchK));
   } else {
     for (const auto& r : ctx.sample) {
       (best.split.goes_left(r) ? lc.sample : rc.sample).push_back(r);

@@ -109,6 +109,8 @@ class CloudsProblem final : public dc::DcProblem<data::Record> {
   bool sketch_mode() const {
     return cfg_.boundaries == BoundarySource::kSketch;
   }
+  /// Per-level compactor capacity of the kSketch boundary sketches.
+  static constexpr std::size_t kSketchK = 256;
   std::vector<std::byte> encode_sketch_blob(const TaskCtx& ctx) const;
 
   PcloudsConfig cfg_;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "data/agrawal.hpp"
-#include "obs/json.hpp"
 
 namespace pdc::serve {
 
@@ -22,9 +21,7 @@ double percentile(const std::vector<double>& sorted, double q) {
 }
 
 obs::Json num(double v) { return obs::Json::make_number(v); }
-obs::Json unum(std::uint64_t v) {
-  return obs::Json::make_number(static_cast<double>(v));
-}
+obs::Json unum(std::uint64_t v) { return obs::Json::make_uint(v); }
 
 }  // namespace
 
@@ -100,7 +97,7 @@ ServeReport run_loadgen(Server& server, const CompiledTree& model,
   return rep;
 }
 
-std::string ServeReport::to_json() const {
+obs::Json ServeReport::to_json() const {
   obs::Json doc = obs::Json::make_object();
   doc.set("schema", obs::Json::make_string("pdc.serve_report.v1"));
 
@@ -163,7 +160,7 @@ std::string ServeReport::to_json() const {
     jreps.push_back(std::move(jr));
   }
   doc.set("replicas", std::move(jreps));
-  return doc.dump();
+  return doc;
 }
 
 }  // namespace pdc::serve

@@ -20,9 +20,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "serve/compiled_tree.hpp"
 #include "serve/server.hpp"
 
@@ -64,7 +64,7 @@ struct ServeReport {
   std::vector<ReplicaStats> replica_stats;
 
   /// The `pdc.serve_report.v1` JSON document.
-  std::string to_json() const;
+  obs::Json to_json() const;
 };
 
 /// Drives `cfg.requests` batches through `server` and reports.  `model` is

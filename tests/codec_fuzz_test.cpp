@@ -7,13 +7,14 @@
 //
 // Formats covered: QuantileSketch blobs, the pdcT tree file, the pdcF
 // compiled-tree blob, the voted-stats varint stream, CloudsProblem
-// checkpoint state, and the CheckpointStore manifest.  The two formats
-// that carry tree arenas (pdcT and checkpoint state) also get structural
-// mutants that rewrite child links: every accepted arena must be a tree,
-// so it compiles to no more nodes than it holds.
+// checkpoint state, and the CheckpointStore manifest.  The three formats
+// that carry tree arenas (pdcT, pdcF and checkpoint state) also get
+// structural mutants that rewrite child links: every accepted arena must be
+// a tree, so it compiles to (or keeps) no more nodes than it holds.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -266,6 +267,77 @@ TEST(CodecFuzz, CompiledTreeSurvivesMutations) {
     const auto t = serve::CompiledTree::from_bytes(b);
     for (const auto& r : probe) (void)t.predict(r);
   });
+}
+
+// Structural mutants of the pdcF blob: rewrite one internal FlatNode's
+// first-child link to another node's children, a leaf, itself, an earlier
+// node or past the end.  A mutant is rejected, or it keeps the node count
+// and both descents agree on it; any mutant whose nodes share a child must
+// be rejected.
+TEST(CodecFuzz, CompiledTreeSurvivesChildLinkRewrites) {
+  const auto seed = serve::CompiledTree::compile(trained_tree());
+  const auto bytes = seed.to_bytes();
+  const auto nodes = seed.nodes();
+  const std::size_t n = nodes.size();
+  const std::size_t header = bytes.size() - sizeof(serve::FlatNode) * n;
+  std::vector<std::uint32_t> internal;
+  std::vector<std::uint32_t> leaves;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    (nodes[i].is_leaf() ? leaves : internal).push_back(i);
+  }
+  ASSERT_GE(internal.size(), 2u);
+  const auto probe = agrawal_records(64, 99);
+  const auto block = serve::RecordBlock::from_records(probe);
+  std::mt19937_64 rng(0x51eef00b);
+  const auto pick = [&rng](const std::vector<std::uint32_t>& v) {
+    return v[rng() % v.size()];
+  };
+  int shared = 0;
+  int rejected = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    const std::uint32_t node = pick(internal);
+    std::uint32_t target = node;  // i % 5 == 2: itself
+    switch (i % 5) {
+      case 0: target = nodes[pick(internal)].first_child(); break;
+      case 1: target = pick(leaves); break;
+      case 3:
+        if (node > 0) target = static_cast<std::uint32_t>(rng() % node);
+        break;
+      case 4: target = static_cast<std::uint32_t>(n - 1 + rng() % 4); break;
+      default: break;
+    }
+    // Parents per node index after the rewrite (children are fc, fc + 1).
+    std::vector<int> parents(n + 4, 0);
+    for (const std::uint32_t j : internal) {
+      const std::uint32_t fc = j == node ? target : nodes[j].first_child();
+      ++parents[fc];
+      ++parents[fc + 1];
+    }
+    const bool shares =
+        std::any_of(parents.begin(), parents.begin() + static_cast<long>(n),
+                    [](int c) { return c > 1; });
+    shared += shares ? 1 : 0;
+
+    auto mutant = bytes;
+    const std::size_t at = header + sizeof(serve::FlatNode) * node;
+    for (std::size_t b = 0; b < 4; ++b) {  // little-endian meta, leaf bit 0
+      mutant[at + b] = static_cast<std::uint8_t>((target << 1) >> (8 * b));
+    }
+    try {
+      const auto t = serve::CompiledTree::from_bytes(mutant);
+      EXPECT_FALSE(shares) << "accepted a blob whose nodes share a child";
+      EXPECT_EQ(t.node_count(), n);
+      std::vector<std::int8_t> labels(block.size());
+      t.predict_block(block, labels);
+      for (std::size_t r = 0; r < probe.size(); ++r) {
+        EXPECT_EQ(labels[r], t.predict(probe[r]));
+      }
+    } catch (const std::exception&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(shared, 0);
+  EXPECT_GE(rejected, shared);
 }
 
 // --------------------------------------- voted-stats varint stream ---

@@ -30,6 +30,7 @@
 #include "drift_report.hpp"
 #include "io/scratch.hpp"
 #include "mp/runtime.hpp"
+#include "obs/json.hpp"
 #include "pclouds/combiners.hpp"
 #include "pclouds/pclouds.hpp"
 
@@ -222,7 +223,7 @@ class DriftSuite : public ::testing::Test {
   static void SetUpTestSuite() { report_ = new drift::DriftReport(); }
   static void TearDownTestSuite() {
     if (const char* path = std::getenv("PDC_DRIFT_JSON")) {
-      report_->write_json(path);
+      obs::write_json_file(path, report_->to_json().dump());
     }
     delete report_;
     report_ = nullptr;

@@ -23,8 +23,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -196,14 +194,6 @@ struct DriftReport {
 
     root.set("pass", obs::Json::make_bool(pass()));
     return root;
-  }
-
-  void write_json(const std::string& path) const {
-    std::ofstream out(path, std::ios::binary);
-    out << to_json().dump();
-    if (!out.good()) {
-      throw std::runtime_error("drift: cannot write " + path);
-    }
   }
 };
 

@@ -1,6 +1,7 @@
 // Golden-schema tests for the machine-readable artifacts: the
-// pdc.run_report.v1 JSON document, the Chrome trace_event JSON, and the
-// static analyzer's pdc.analysis.v1 report.
+// pdc.run_report.v1 JSON document, the Chrome trace_event JSON, the
+// critical-path profile, the drift and serve reports, and the static
+// analyzer's pdc.analysis.v1 report.
 //
 // The goldens (tests/golden/*.golden.json) pin the KEY STRUCTURE, not the
 // values: a document is reduced to a canonical shape string (object keys in
@@ -9,7 +10,9 @@
 // "gauges", "histograms" and "args" collapsed to the shapes of their
 // values).  Renaming, adding or dropping a field breaks the test; numeric
 // drift never does.  Regenerate with PDC_UPDATE_GOLDEN=1 after a deliberate
-// schema change and commit the diff.
+// schema change and commit the diff; regeneration writes the smallest
+// document with the same shape (one element per distinct array-element
+// shape), so a golden stays a few events long however large the run.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include <fstream>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -85,6 +89,27 @@ std::string shape_of(const obs::Json& j, bool collapse_keys = false) {
   return "?";
 }
 
+/// The smallest document with the same shape_of: arrays keep the first
+/// element of each distinct shape, dynamic-key maps the first member of
+/// each distinct value shape.  Goldens are written this way.
+obs::Json minimal(const obs::Json& j, bool collapse_keys = false) {
+  std::set<std::string> seen;
+  if (j.is_array()) {
+    obs::Json out = obs::Json::make_array();
+    for (const auto& e : j.items()) {
+      if (seen.insert(shape_of(e)).second) out.push_back(minimal(e));
+    }
+    return out;
+  }
+  if (!j.is_object()) return j;
+  obs::Json out = obs::Json::make_object();
+  for (const auto& [k, v] : j.members()) {
+    if (collapse_keys && !seen.insert(shape_of(v)).second) continue;
+    out.set(k, minimal(v, !collapse_keys && dynamic_key_map(k)));
+  }
+  return out;
+}
+
 std::string read_text(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
@@ -92,7 +117,7 @@ std::string read_text(const fs::path& p) {
 }
 
 /// One small traced pCLOUDS run (pipeline on, so the schema exercises the
-/// overlap counters) producing both artifacts.
+/// overlap counters) producing the run report, trace, profile and overlay.
 struct Artifacts {
   std::string report_json;
   std::string trace_json;
@@ -149,10 +174,10 @@ Artifacts generate() {
   run.metrics = tracer.merged_metrics();
 
   Artifacts out;
-  out.report_json = run.to_json();
+  out.report_json = run.to_json().dump();
   out.trace_json = tracer.chrome_json();
   const obs::Profile profile = obs::build_profile(tracer, report.clocks);
-  out.profile_json = profile.to_json();
+  out.profile_json = profile.to_json().dump();
   const auto overlay = obs::overlay_events(profile);
   out.trace_overlay_json = tracer.chrome_json(&overlay);
   return out;
@@ -175,9 +200,8 @@ void check_against_golden(const std::string& actual_json,
   const fs::path golden_path = fs::path(PDC_GOLDEN_DIR) / golden_name;
   if (std::getenv("PDC_UPDATE_GOLDEN") != nullptr) {
     fs::create_directories(golden_path.parent_path());
-    std::ofstream out(golden_path, std::ios::binary);
-    out << actual_json;
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    obs::write_json_file(golden_path.string(),
+                         minimal(obs::Json::parse(actual_json)).dump());
     return;
   }
   const std::string golden_text = read_text(golden_path);
@@ -210,7 +234,7 @@ TEST_F(GoldenSchema, TraceOverlayKeyStructureMatchesGolden) {
 
 TEST_F(GoldenSchema, RunReportRoundTripsThroughParse) {
   const auto back = obs::RunReport::from_json(artifacts_->report_json);
-  EXPECT_EQ(back.to_json(), artifacts_->report_json);
+  EXPECT_EQ(back.to_json().dump(), artifacts_->report_json);
   // The pipelined run recorded hidden I/O and it survives the round trip.
   double hidden = 0.0;
   for (const auto& r : back.ranks) hidden += r.clock.io_hidden_s;
@@ -244,11 +268,9 @@ TEST(GoldenSchema2, AnalyzerReportKeyStructureMatchesGolden) {
   check_against_golden(json, "analysis.golden.json");
 }
 
-// The drift artifact's key structure is pinned the same way: build a small
-// synthetic report through the real builder (tests/drift_report.hpp) and
-// shape-compare it, so a schema change in the drift suite's output cannot
-// slip past CI or scripts/check_bench.py --drift unnoticed.
-TEST(GoldenSchema2, DriftReportKeyStructureMatchesGolden) {
+/// A small synthetic drift report built through the real builder
+/// (tests/drift_report.hpp).
+drift::DriftReport small_drift_report() {
   drift::DriftReport report;
   drift::NodeCell cell;
   cell.p = 2;
@@ -259,13 +281,11 @@ TEST(GoldenSchema2, DriftReportKeyStructureMatchesGolden) {
   cell.gini_delta.add(0.01);
   report.node_cells.push_back(cell);
   report.tree_runs.push_back({2, 4, 2, 0.98, 0.979});
-  check_against_golden(report.to_json().dump(), "drift.golden.json");
+  return report;
 }
 
-// The serving artifact (pdc.serve_report.v1) is pinned the same way: one
-// tiny served run through the real server + load generator, shape-compared
-// so the CLI/bench/check_bench.py --serve consumers notice schema drift.
-TEST(GoldenSchema2, ServeReportKeyStructureMatchesGolden) {
+/// One tiny served run through the real server + load generator.
+serve::ServeReport small_serve_report() {
   data::AgrawalGenerator gen({.function = 2, .seed = 3});
   const auto train = gen.make_range(0, 1500);
   clouds::CloudsBuilder builder{clouds::CloudsConfig{}};
@@ -279,7 +299,60 @@ TEST(GoldenSchema2, ServeReportKeyStructureMatchesGolden) {
   cfg.swap_every = 3;  // exercise the hot-swap fields
   const auto report = serve::run_loadgen(server, model, cfg);
   server.shutdown();
-  check_against_golden(report.to_json(), "serve_report.golden.json");
+  return report;
+}
+
+// The drift artifact's key structure is pinned the same way, so a schema
+// change in the drift suite's output cannot slip past CI or
+// scripts/check_bench.py --drift unnoticed.
+TEST(GoldenSchema2, DriftReportKeyStructureMatchesGolden) {
+  check_against_golden(small_drift_report().to_json().dump(),
+                       "drift.golden.json");
+}
+
+// The serving artifact (pdc.serve_report.v1) is pinned the same way, so
+// the CLI/bench/check_bench.py --serve consumers notice schema drift.
+TEST(GoldenSchema2, ServeReportKeyStructureMatchesGolden) {
+  check_against_golden(small_serve_report().to_json().dump(),
+                       "serve_report.golden.json");
+}
+
+// Every artifact is written by obs::write_json_file, which must report a
+// lost document: on a full disk a document smaller than the stdio buffer
+// fails only when fclose flushes it.
+TEST_F(GoldenSchema, WritingAnyArtifactToAFullDiskThrows) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "/dev/full not available";
+  const std::string docs[] = {
+      artifacts_->report_json,
+      artifacts_->trace_json,
+      artifacts_->profile_json,
+      artifacts_->trace_overlay_json,
+      small_drift_report().to_json().dump(),
+      small_serve_report().to_json().dump(),
+  };
+  for (const std::string& doc : docs) {
+    for (const bool append : {false, true}) {
+      try {
+        obs::write_json_file("/dev/full", doc, append);
+        ADD_FAILURE() << "writing " << doc.size() << " bytes to /dev/full "
+                      << "did not throw";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(GoldenShape, MinimalDocumentKeepsTheShape) {
+  const auto doc = obs::Json::parse(
+      R"({"events": [{"a": 1}, {"a": 2}, {"b": "x"}, {"a": 3, "args": {)"
+      R"("n": 1, "m": 2, "s": "t"}}], "counters": {"x": 1, "y": 2}})");
+  const auto small = minimal(doc);
+  EXPECT_EQ(shape_of(small), shape_of(doc));
+  EXPECT_EQ(small.dump(),
+            R"({"events":[{"a":1},{"b":"x"},{"a":3,"args":{"n":1,"s":"t"}}],)"
+            R"("counters":{"x":1}})");
 }
 
 TEST(GoldenShape, CollapsesDynamicMapsAndArrays) {

@@ -195,7 +195,7 @@ TEST(Lockstep, ReportRoundTripsThroughRunReportJson) {
   run.lockstep_divergence.push_back(
       {1, 3, 0xfeedface00c0ffeeull, 7, "all_reduce", "combiners.cpp:99"});
 
-  const auto back = obs::RunReport::from_json(run.to_json());
+  const auto back = obs::RunReport::from_json(run.to_json().dump());
   ASSERT_EQ(back.lockstep_divergence.size(), 2u);
   EXPECT_EQ(back.lockstep_divergence[0].site, 0x1234abcd5678ef01ull);
   EXPECT_EQ(back.lockstep_divergence[0].prim, "barrier");
@@ -206,7 +206,7 @@ TEST(Lockstep, ReportRoundTripsThroughRunReportJson) {
   obs::RunReport clean;
   clean.classifier = "pclouds";
   clean.nprocs = 1;
-  EXPECT_EQ(clean.to_json().find("lockstep_divergence"), std::string::npos);
+  EXPECT_EQ(clean.to_json().find("lockstep_divergence"), nullptr);
 }
 
 TEST(Lockstep, SiteHashIsStable) {

@@ -266,7 +266,7 @@ TEST(Profile, AttributionClosesOnRealRunsAcrossP) {
 
     // The report is valid JSON with the pinned schema tag, and the
     // overlay renders one span per path segment.
-    const Json doc = Json::parse(prof.to_json());
+    const Json doc = Json::parse(prof.to_json().dump());
     EXPECT_EQ(doc.at("schema").as_string(), "pdc.profile.v1");
     EXPECT_EQ(overlay_events(prof).size(), prof.segments.size());
   }

@@ -7,8 +7,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -160,6 +163,39 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(Json::parse("{} trailing"), std::runtime_error);
 }
 
+TEST(Json, UnsignedIntegersStayExactAboveTwoToThe53) {
+  // A communicator id from a real trace; a double would print it as ...728.
+  const std::uint64_t id = 1469598103934665603ull;
+  Json j = Json::make_object();
+  j.set("comm", Json::make_uint(id));
+  EXPECT_EQ(j.at("comm").type(), Json::Type::kNumber);
+  EXPECT_EQ(j.at("comm").as_number(), static_cast<double>(id));
+  EXPECT_EQ(j.dump(), R"({"comm":1469598103934665603})");
+  EXPECT_NE(Json::make_number(static_cast<double>(id)).dump(),
+            "1469598103934665603");
+}
+
+TEST(Json, WriteJsonFileReplacesOrAppendsOneLine) {
+  io::ScratchArena arena("obs_write_json", 1);
+  const std::string path = (arena.rank_dir(0) / "doc.json").string();
+  write_json_file(path, R"({"a":1})");
+  write_json_file(path, R"({"b":2})");
+  write_json_file(path, R"({"c":3})", /*append=*/true);
+  std::ifstream in(path, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, "{\"b\":2}\n{\"c\":3}\n");
+
+  const std::string missing = (arena.rank_dir(0) / "no" / "doc.json").string();
+  try {
+    write_json_file(missing, "{}");
+    ADD_FAILURE() << "writing into a missing directory did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(missing), std::string::npos)
+        << e.what();
+  }
+}
+
 // -------------------------------------------------------------- report ---
 
 TEST(Report, RoundTripsThroughJson) {
@@ -189,7 +225,7 @@ TEST(Report, RoundTripsThroughJson) {
   report.metrics.histogram("dc.combiner_message_bytes").observe(512.0);
   report.metrics.histogram("empty.histogram");  // min/max serialize as null
 
-  const RunReport back = RunReport::from_json(report.to_json());
+  const RunReport back = RunReport::from_json(report.to_json().dump());
   EXPECT_EQ(back.classifier, "pclouds");
   EXPECT_EQ(back.nprocs, 2);
   EXPECT_EQ(back.records, 8000u);
