@@ -358,6 +358,7 @@ int main(int argc, char** argv) {
   if (!opt.inject.empty()) {
     try {
       faults = fault::FaultPlan::parse(opt.inject);
+      faults.check_ranks(opt.procs);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "pclouds_cli: --inject: %s\n", e.what());
       return 2;

@@ -48,6 +48,12 @@ class RejectsBadArguments(unittest.TestCase):
         (["--pipeline", "maybe"], "--pipeline"),
         (["--inject", "disk_write:rank=bogus"], "--inject"),
         (["--inject", "warp_core:op=1"], "--inject"),
+        # Plans that could never fire: the retired p2p site, and a rank the
+        # run does not have (the message names the spec).
+        (["--procs", "4", "--records", "20000", "--inject", "comm_p2p:op=1"],
+         "--inject"),
+        (["--procs", "4", "--records", "20000",
+          "--inject", "comm_coll:rank=9:op=1"], "comm_coll:rank=9:op=1"),
         (["--resume"], "--scratch"),
     ]
 

@@ -1,6 +1,7 @@
 #include "fault/fault.hpp"
 
 #include <charconv>
+#include <limits>
 #include <sstream>
 
 namespace pdc::fault {
@@ -19,7 +20,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 FaultSite parse_site(std::string_view text) {
   if (text == "disk_read") return FaultSite::kDiskRead;
   if (text == "disk_write") return FaultSite::kDiskWrite;
-  if (text == "comm_p2p") return FaultSite::kCommP2p;
   if (text == "comm_coll") return FaultSite::kCommCollective;
   throw std::invalid_argument("FaultPlan: unknown site '" + std::string(text) +
                               "'");
@@ -36,6 +36,20 @@ std::int64_t parse_int(std::string_view key, std::string_view value) {
   return out;
 }
 
+std::string spec_string(const FaultSpec& spec) {
+  std::string out(site_name(spec.site));
+  if (spec.rank >= 0) out += ":rank=" + std::to_string(spec.rank);
+  out += ":op=" + std::to_string(spec.op);
+  if (spec.times != 1) out += ":times=" + std::to_string(spec.times);
+  if (spec.torn) out += ":torn";
+  if (spec.after_s > 0.0) {
+    std::ostringstream after;
+    after << ":after=" << spec.after_s;
+    out += after.str();
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string_view site_name(FaultSite site) {
@@ -44,8 +58,6 @@ std::string_view site_name(FaultSite site) {
       return "disk_read";
     case FaultSite::kDiskWrite:
       return "disk_write";
-    case FaultSite::kCommP2p:
-      return "comm_p2p";
     case FaultSite::kCommCollective:
       return "comm_coll";
   }
@@ -81,7 +93,11 @@ FaultPlan FaultPlan::parse(const std::string& text) {
       }
       const std::string value = field.substr(eq + 1);
       if (key == "rank") {
-        spec.rank = static_cast<int>(parse_int(key, value));
+        const auto rank = parse_int(key, value);
+        if (rank < -1 || rank > std::numeric_limits<int>::max()) {
+          throw std::invalid_argument("FaultPlan: rank out of range");
+        }
+        spec.rank = static_cast<int>(rank);
       } else if (key == "op") {
         const auto op = parse_int(key, value);
         if (op < 1) throw std::invalid_argument("FaultPlan: op must be >= 1");
@@ -111,18 +127,19 @@ std::string FaultPlan::to_string() const {
   std::string out;
   for (const auto& spec : specs_) {
     if (!out.empty()) out += ';';
-    out += site_name(spec.site);
-    if (spec.rank >= 0) out += ":rank=" + std::to_string(spec.rank);
-    out += ":op=" + std::to_string(spec.op);
-    if (spec.times != 1) out += ":times=" + std::to_string(spec.times);
-    if (spec.torn) out += ":torn";
-    if (spec.after_s > 0.0) {
-      std::ostringstream after;
-      after << ":after=" << spec.after_s;
-      out += after.str();
-    }
+    out += spec_string(spec);
   }
   return out;
+}
+
+void FaultPlan::check_ranks(int nranks) const {
+  for (const auto& spec : specs_) {
+    if (spec.rank < nranks) continue;
+    throw std::invalid_argument(
+        "FaultPlan: spec '" + spec_string(spec) + "' targets rank " +
+        std::to_string(spec.rank) + ", but the run has " +
+        std::to_string(nranks) + " rank(s)");
+  }
 }
 
 FaultPlan FaultPlan::seeded(std::uint64_t seed, std::string_view site_class,
@@ -149,8 +166,7 @@ FaultPlan FaultPlan::seeded(std::uint64_t seed, std::string_view site_class,
       spec.times = 1 + static_cast<int>(splitmix64(state) % 6);
     }
   } else if (site_class == "comm") {
-    spec.site = splitmix64(state) % 4 == 0 ? FaultSite::kCommP2p
-                                           : FaultSite::kCommCollective;
+    spec.site = FaultSite::kCommCollective;
     spec.op = 1 + splitmix64(state) % 60;
   } else {
     throw std::invalid_argument("FaultPlan::seeded: unknown site class '" +
@@ -217,11 +233,10 @@ DiskAction RankFault::on_disk_locked(bool is_write, double now_s) {
   return DiskAction::kProceed;
 }
 
-void RankFault::on_comm(std::string_view prim, bool collective) {
+void RankFault::on_comm(std::string_view prim) {
   if (!enabled()) return;
   LockGuard lock(mu_);
-  const FaultSite site =
-      collective ? FaultSite::kCommCollective : FaultSite::kCommP2p;
+  const FaultSite site = FaultSite::kCommCollective;
   ++ops_[static_cast<std::size_t>(site)];
   for (std::size_t i = 0; i < plan_->specs().size(); ++i) {
     const auto& spec = plan_->specs()[i];

@@ -32,13 +32,12 @@
 
 namespace pdc::fault {
 
-/// Where a fault strikes.  Disk sites are per-request; comm sites are
-/// per-primitive (p2p = send/recv, collective = everything else).
+/// Where a fault strikes.  Disk sites are per-request; the comm site is
+/// per collective primitive.
 enum class FaultSite : int {
   kDiskRead = 0,
   kDiskWrite = 1,
-  kCommP2p = 2,
-  kCommCollective = 3,
+  kCommCollective = 2,
 };
 
 std::string_view site_name(FaultSite site);
@@ -47,6 +46,7 @@ struct FaultSpec {
   FaultSite site = FaultSite::kDiskWrite;
   /// Rank the fault strikes on; -1 matches every rank (each keeps its own
   /// operation counter, so "-1, op=5" fails the 5th matching op everywhere).
+  /// A plan naming a rank the run does not have is refused (check_ranks).
   int rank = -1;
   /// 1-based index of the matching operation that triggers the fault.
   std::uint64_t op = 1;
@@ -77,14 +77,20 @@ class FaultPlan {
 
   /// Parses the CLI grammar: specs separated by ';', each
   ///   site[:key=value]...
-  /// with site in {disk_read, disk_write, comm_p2p, comm_coll} and keys
+  /// with site in {disk_read, disk_write, comm_coll} and keys
   ///   rank=N  op=N  times=N  after=SECONDS  torn
-  /// e.g. "disk_write:rank=1:op=5:times=2;comm_coll:op=40".
+  /// (-1 <= rank <= INT_MAX), e.g.
+  /// "disk_write:rank=1:op=5:times=2;comm_coll:op=40".
   /// Throws std::invalid_argument on malformed input.
   static FaultPlan parse(const std::string& text);
 
   /// Round-trips through parse().
   std::string to_string() const;
+
+  /// Throws std::invalid_argument, naming the spec, when a spec targets a
+  /// rank >= nranks: such a fault could never fire.  Runtime::run calls it
+  /// before any rank starts.
+  void check_ranks(int nranks) const;
 
   /// A replayable scenario derived from a (seed, site-class) pair:
   /// `site_class` is "disk" (read/write/torn faults with varying
@@ -153,9 +159,9 @@ class RankFault {
   /// the request's issue-time snapshot instead.
   DiskAction on_disk(bool is_write, double now_s);
 
-  /// Consult at the entry of a communication primitive; throws CommFault
-  /// when an armed spec fires.
-  void on_comm(std::string_view prim, bool collective);
+  /// Consult at the entry of a collective primitive; throws CommFault when
+  /// an armed spec fires.
+  void on_comm(std::string_view prim);
 
   /// Failures injected on this rank so far (all sites).
   std::uint64_t injected() const {
@@ -178,7 +184,7 @@ class RankFault {
   const mp::Clock* clock_ = nullptr;
   mutable Mutex mu_;
   /// Per-site operation counters.
-  std::array<std::uint64_t, 4> ops_ PDC_GUARDED_BY(mu_) = {};
+  std::array<std::uint64_t, 3> ops_ PDC_GUARDED_BY(mu_) = {};
   /// Per spec: -1 = not yet triggered, otherwise failing attempts left.
   std::vector<int> remaining_ PDC_GUARDED_BY(mu_);
   std::uint64_t injected_ PDC_GUARDED_BY(mu_) = 0;

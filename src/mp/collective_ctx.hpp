@@ -1,26 +1,36 @@
 #pragma once
 
-// Shared rendezvous state for collective operations.
+// Shared rendezvous state for collective operations — the runtime's only
+// way to move data between ranks.
 //
 // Collectives move their data through shared slots guarded by a central
 // sense-reversing barrier (fine for the tens of virtual processors this
-// runtime targets) and charge modeled time via the Table-1 cost formulas.
-// This keeps the modeled cost exactly equal to the paper's analysis instead
-// of whatever a p2p emulation would add up to.
+// runtime targets) and charge modeled time via the Table-1 cost formulas,
+// so the modeled cost is exactly the paper's analysis.  Every collective
+// runs the same three phases (Comm::rendezvous): publish (payload, modeled
+// time, lockstep claim), read every slot, then release the slots for the
+// next collective.  These barriers are the only blocking calls of an SPMD
+// run, and abort() wakes all of them with AbortError.
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
 
 #include "mp/lockstep.hpp"
-#include "mp/mailbox.hpp"  // AbortError
 
 namespace pdc::mp {
+
+/// Thrown out of a blocked collective when the runtime aborts the program
+/// because some rank raised an exception.
+struct AbortError : std::runtime_error {
+  AbortError() : std::runtime_error("pdc::mp program aborted") {}
+};
 
 /// Central sense-reversing barrier over `n` participants, abortable.
 class CentralBarrier {
@@ -49,12 +59,6 @@ class CentralBarrier {
       aborted_ = true;
     }
     cv_.notify_all();
-  }
-
-  void reset() {
-    LockGuard lock(mu_);
-    aborted_ = false;
-    arrived_ = 0;
   }
 
  private:
@@ -103,13 +107,6 @@ class CollectiveContext {
     enter_.abort();
     mid_.abort();
     exit_.abort();
-  }
-
-  void reset() {
-    enter_.reset();
-    mid_.reset();
-    exit_.reset();
-    for (auto& s : slots_) s.clear();
   }
 
  private:

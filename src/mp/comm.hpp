@@ -2,10 +2,14 @@
 
 // Comm: the per-rank handle of the SPMD message-passing runtime.
 //
-// Point-to-point messages go through real mailboxes; collectives rendezvous
-// through shared slots.  Every operation advances the rank's modeled Clock by
-// the cost-model formulas (Table 1 of the paper), so `clock().total()` is the
-// rank's position on the modeled parallel timeline.
+// Ranks move data only through collectives: the paper's Table-1 primitives
+// (all-to-all broadcast, gather, global combine, prefix sum, min-loc) plus
+// barrier, one-to-all broadcast and all-to-all personalized exchange.
+// Every collective runs one protocol, rendezvous(): publish through the
+// shared slots of mp/collective_ctx.hpp, read the members' slots, and
+// settle the rank's modeled Clock at the last publish time plus the
+// primitive's Table-1 cost, so `clock().total()` is the rank's position on
+// the modeled parallel timeline.
 //
 // All collectives must be entered by every rank of the communicator, in the
 // same order — the usual SPMD contract.  With lockstep auditing on (see
@@ -27,9 +31,9 @@
 #include <cstdint>
 #include <memory>
 #include <functional>
-#include <numeric>
 #include <source_location>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,7 +42,6 @@
 #include "mp/collective_ctx.hpp"
 #include "mp/lockstep.hpp"
 #include "mp/cost_model.hpp"
-#include "mp/mailbox.hpp"
 #include "mp/serialize.hpp"
 #include "obs/trace.hpp"
 
@@ -53,9 +56,8 @@ inline constexpr std::uint64_t kWorldCommId = 1469598103934665603ull;
 
 class Comm {
  public:
-  Comm(int rank, int size, const CostModel* cost,
-       std::vector<Mailbox>* mailboxes, CollectiveContext* ctx, Clock* clock,
-       SplitArena* arena = nullptr,
+  Comm(int rank, int size, const CostModel* cost, CollectiveContext* ctx,
+       Clock* clock, SplitArena* arena = nullptr,
        std::shared_ptr<const std::vector<int>> group = nullptr,
        std::shared_ptr<CollectiveContext> owned_ctx = nullptr,
        obs::RankTracer tracer = {}, fault::RankFault* fault = nullptr,
@@ -63,7 +65,6 @@ class Comm {
       : rank_(rank),
         size_(size),
         cost_(cost),
-        mailboxes_(mailboxes),
         ctx_(ctx),
         clock_(clock),
         arena_(arena),
@@ -111,8 +112,8 @@ class Comm {
   /// Splits this communicator into subgroups (collective, like
   /// MPI_Comm_split): all ranks with the same `color` form a new
   /// communicator, ordered by (key, old rank); key defaults to the old
-  /// rank.  Point-to-point and collectives on the result are scoped to the
-  /// subgroup.  Costs one small all-to-all broadcast on the parent.
+  /// rank.  Collectives on the result are scoped to the subgroup.  Costs
+  /// one small all-to-all broadcast on the parent.
   Comm split(int color, int key = -1,
              std::source_location loc = std::source_location::current()) {
     struct ColorKey {
@@ -145,8 +146,8 @@ class Comm {
     const std::uint64_t generation = split_generation_++;
     auto sub_ctx = arena_->get_or_create(ctx_, generation, color, group_size);
     CollectiveContext* sub_ctx_raw = sub_ctx.get();
-    Comm sub(my_pos, group_size, cost_, mailboxes_, sub_ctx_raw, clock_,
-             arena_, std::move(members), std::move(sub_ctx), tracer_, fault_,
+    Comm sub(my_pos, group_size, cost_, sub_ctx_raw, clock_, arena_,
+             std::move(members), std::move(sub_ctx), tracer_, fault_,
              child_comm_id(comm_id_, generation,
                            static_cast<std::uint64_t>(color)));
     // The subgroup inherits auditing; its collective sequence restarts at
@@ -155,65 +156,13 @@ class Comm {
     return sub;
   }
 
-  // ---------------------------------------------------------------- p2p ---
-
-  template <Wireable T>
-  void send(int dest, int tag, std::span<const T> data) {
-    auto sp = prim_span("send", data.size_bytes(), /*collective=*/false);
-    Message msg;
-    msg.src = global_rank();
-    msg.tag = tag;
-    msg.payload = to_bytes(data);
-    msg.seq = (*mailboxes_)[static_cast<std::size_t>(global_rank())]
-                  .next_send_seq();
-    sp.set_channel(static_cast<std::uint64_t>(to_global(dest)), msg.seq);
-    clock_->add_comm(cost_->point_to_point(msg.payload.size()));
-    msg.arrival_time = clock_->total();
-    (*mailboxes_)[static_cast<std::size_t>(to_global(dest))].put(
-        std::move(msg));
-  }
-
-  template <Wireable T>
-  void send_value(int dest, int tag, const T& value) {
-    send(dest, tag, std::span<const T>(&value, 1));
-  }
-
-  /// Receive a vector of T from (src, tag); kAnySource/kAnyTag wildcards are
-  /// allowed.  Sets *actual_src if provided.
-  template <Wireable T>
-  std::vector<T> recv(int src, int tag, int* actual_src = nullptr) {
-    auto sp = prim_span("recv", obs::kNoArg, /*collective=*/false);
-    Message msg =
-        (*mailboxes_)[static_cast<std::size_t>(global_rank())].take(
-            src == kAnySource ? kAnySource : to_global(src), tag);
-    sp.set_bytes(msg.payload.size());
-    sp.set_channel(static_cast<std::uint64_t>(msg.src), msg.seq);
-    clock_->wait_until(msg.arrival_time);
-    clock_->add_comm(cost_->machine().tau);  // receive-side overhead
-    if (actual_src) *actual_src = to_local(msg.src);
-    return from_bytes<T>(msg.payload);
-  }
-
-  template <Wireable T>
-  T recv_value(int src, int tag, int* actual_src = nullptr) {
-    auto v = recv<T>(src, tag, actual_src);
-    return v.at(0);
-  }
-
-  bool probe(int src, int tag) const {
-    return (*mailboxes_)[static_cast<std::size_t>(global_rank())].probe(
-        src == kAnySource ? kAnySource : to_global(src), tag);
-  }
-
   // -------------------------------------------------------- collectives ---
 
   void barrier(std::source_location loc = std::source_location::current()) {
     auto sp = prim_span("barrier");
-    sync_publish({}, "barrier", loc, &sp);
-    const double t_max = max_published_time();
-    ctx_->read_barrier();
-    settle(t_max, cost_->barrier(size_));
-    ctx_->reuse_barrier();
+    rendezvous("barrier", sp, {}, loc, [&] {
+      return std::pair{true, cost_->barrier(size_)};  // nothing to read
+    });
   }
 
   /// All-to-all broadcast (allgather): every rank contributes a block, every
@@ -224,19 +173,16 @@ class Comm {
       std::span<const T> mine,
       std::source_location loc = std::source_location::current()) {
     auto sp = prim_span("all_to_all_broadcast", mine.size_bytes());
-    sync_publish(to_bytes(mine), "all_to_all_broadcast", loc, &sp);
-    const double t_max = max_published_time();
-    std::size_t m = 0;
-    std::vector<std::vector<T>> out(static_cast<std::size_t>(size_));
-    for (int r = 0; r < size_; ++r) {
-      const auto& s = ctx_->slot(r);
-      m = std::max(m, s.size());
-      out[static_cast<std::size_t>(r)] = from_bytes<T>(s);
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->all_to_all_broadcast(size_, m));
-    ctx_->reuse_barrier();
-    return out;
+    return rendezvous("all_to_all_broadcast", sp, to_bytes(mine), loc, [&] {
+      std::size_t m = 0;
+      std::vector<std::vector<T>> out(static_cast<std::size_t>(size_));
+      for (int r = 0; r < size_; ++r) {
+        const auto& s = ctx_->slot(r);
+        m = std::max(m, s.size());
+        out[static_cast<std::size_t>(r)] = from_bytes<T>(s);
+      }
+      return std::pair{std::move(out), cost_->all_to_all_broadcast(size_, m)};
+    });
   }
 
   /// Allgather returning the concatenation of all blocks in rank order.
@@ -260,21 +206,18 @@ class Comm {
       int root, std::span<const T> mine,
       std::source_location loc = std::source_location::current()) {
     auto sp = prim_span("gather", mine.size_bytes());
-    sync_publish(to_bytes(mine), "gather", loc, &sp);
-    const double t_max = max_published_time();
-    std::size_t m = 0;
-    for (int r = 0; r < size_; ++r) m = std::max(m, ctx_->slot(r).size());
-    std::vector<std::vector<T>> out;
-    if (rank_ == root) {
-      out.resize(static_cast<std::size_t>(size_));
-      for (int r = 0; r < size_; ++r) {
-        out[static_cast<std::size_t>(r)] = from_bytes<T>(ctx_->slot(r));
+    return rendezvous("gather", sp, to_bytes(mine), loc, [&] {
+      std::size_t m = 0;
+      for (int r = 0; r < size_; ++r) m = std::max(m, ctx_->slot(r).size());
+      std::vector<std::vector<T>> out;
+      if (rank_ == root) {
+        out.resize(static_cast<std::size_t>(size_));
+        for (int r = 0; r < size_; ++r) {
+          out[static_cast<std::size_t>(r)] = from_bytes<T>(ctx_->slot(r));
+        }
       }
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->gather(size_, m));
-    ctx_->reuse_barrier();
-    return out;
+      return std::pair{std::move(out), cost_->gather(size_, m)};
+    });
   }
 
   /// One-to-all broadcast of a block from `root`.
@@ -284,16 +227,13 @@ class Comm {
       std::source_location loc = std::source_location::current()) {
     auto sp = prim_span("broadcast",
                         rank_ == root ? mine.size_bytes() : std::size_t{0});
-    sync_publish(rank_ == root ? to_bytes(mine) : std::vector<std::byte>{},
-                 "broadcast", loc, &sp);
-    const double t_max = max_published_time();
-    const auto& s = ctx_->slot(root);
-    const std::size_t m = s.size();
-    std::vector<T> out = from_bytes<T>(s);
-    ctx_->read_barrier();
-    settle(t_max, cost_->one_to_all_broadcast(size_, m));
-    ctx_->reuse_barrier();
-    return out;
+    return rendezvous(
+        "broadcast", sp,
+        rank_ == root ? to_bytes(mine) : std::vector<std::byte>{}, loc, [&] {
+          const auto& s = ctx_->slot(root);
+          return std::pair{from_bytes<T>(s),
+                           cost_->one_to_all_broadcast(size_, s.size())};
+        });
   }
 
   template <Wireable T>
@@ -309,16 +249,13 @@ class Comm {
   T all_reduce(const T& value, Op op = Op{},
                std::source_location loc = std::source_location::current()) {
     auto sp = prim_span("all_reduce", sizeof(T));
-    sync_publish(to_bytes(value), "all_reduce", loc, &sp);
-    const double t_max = max_published_time();
-    T acc = value_from_bytes<T>(ctx_->slot(0));
-    for (int r = 1; r < size_; ++r) {
-      acc = op(std::move(acc), value_from_bytes<T>(ctx_->slot(r)));
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->global_combine(size_, sizeof(T)));
-    ctx_->reuse_barrier();
-    return acc;
+    return rendezvous("all_reduce", sp, to_bytes(value), loc, [&] {
+      T acc = value_from_bytes<T>(ctx_->slot(0));
+      for (int r = 1; r < size_; ++r) {
+        acc = op(std::move(acc), value_from_bytes<T>(ctx_->slot(r)));
+      }
+      return std::pair{std::move(acc), cost_->global_combine(size_, sizeof(T))};
+    });
   }
 
   /// Element-wise global combine of equal-length vectors.
@@ -327,19 +264,17 @@ class Comm {
       std::span<const T> mine, Op op = Op{},
       std::source_location loc = std::source_location::current()) {
     auto sp = prim_span("all_reduce_vec", mine.size_bytes());
-    sync_publish(to_bytes(mine), "all_reduce_vec", loc, &sp);
-    const double t_max = max_published_time();
-    std::vector<T> acc = from_bytes<T>(ctx_->slot(0));
-    for (int r = 1; r < size_; ++r) {
-      auto other = from_bytes<T>(ctx_->slot(r));
-      for (std::size_t i = 0; i < acc.size(); ++i) {
-        acc[i] = op(std::move(acc[i]), other[i]);
+    return rendezvous("all_reduce_vec", sp, to_bytes(mine), loc, [&] {
+      std::vector<T> acc = from_bytes<T>(ctx_->slot(0));
+      for (int r = 1; r < size_; ++r) {
+        auto other = from_bytes<T>(ctx_->slot(r));
+        for (std::size_t i = 0; i < acc.size(); ++i) {
+          acc[i] = op(std::move(acc[i]), other[i]);
+        }
       }
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->global_combine(size_, mine.size_bytes()));
-    ctx_->reuse_barrier();
-    return acc;
+      return std::pair{std::move(acc),
+                       cost_->global_combine(size_, mine.size_bytes())};
+    });
   }
 
   /// Inclusive prefix sum (scan) over ranks with a binary op.
@@ -347,16 +282,13 @@ class Comm {
   T prefix_sum(const T& value, Op op = Op{},
                std::source_location loc = std::source_location::current()) {
     auto sp = prim_span("prefix_sum", sizeof(T));
-    sync_publish(to_bytes(value), "prefix_sum", loc, &sp);
-    const double t_max = max_published_time();
-    T acc = value_from_bytes<T>(ctx_->slot(0));
-    for (int r = 1; r <= rank_; ++r) {
-      acc = op(std::move(acc), value_from_bytes<T>(ctx_->slot(r)));
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->prefix_sum(size_, sizeof(T)));
-    ctx_->reuse_barrier();
-    return acc;
+    return rendezvous("prefix_sum", sp, to_bytes(value), loc, [&] {
+      T acc = value_from_bytes<T>(ctx_->slot(0));
+      for (int r = 1; r <= rank_; ++r) {
+        acc = op(std::move(acc), value_from_bytes<T>(ctx_->slot(r)));
+      }
+      return std::pair{std::move(acc), cost_->prefix_sum(size_, sizeof(T))};
+    });
   }
 
   /// Min-reduction with location: the globally minimal value (ties broken by
@@ -367,21 +299,14 @@ class Comm {
       const T& value, Less less = Less{},
       std::source_location loc = std::source_location::current()) {
     auto sp = prim_span("min_loc", sizeof(T));
-    sync_publish(to_bytes(value), "min_loc", loc, &sp);
-    const double t_max = max_published_time();
-    T best = value_from_bytes<T>(ctx_->slot(0));
-    int best_rank = 0;
-    for (int r = 1; r < size_; ++r) {
-      T other = value_from_bytes<T>(ctx_->slot(r));
-      if (less(other, best)) {
-        best = other;
-        best_rank = r;
+    return rendezvous("min_loc", sp, to_bytes(value), loc, [&] {
+      std::pair<T, int> best{value_from_bytes<T>(ctx_->slot(0)), 0};
+      for (int r = 1; r < size_; ++r) {
+        T other = value_from_bytes<T>(ctx_->slot(r));
+        if (less(other, best.first)) best = {other, r};
       }
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->global_combine(size_, sizeof(T)));
-    ctx_->reuse_barrier();
-    return {best, best_rank};
+      return std::pair{best, cost_->global_combine(size_, sizeof(T))};
+    });
   }
 
   /// All-to-all personalized exchange: `outgoing[d]` goes to rank d; returns
@@ -407,48 +332,45 @@ class Comm {
                    std::span<const T>(outgoing[static_cast<std::size_t>(d)]));
     }
     sp.set_bytes(frame.size());
-    sync_publish(std::move(frame), "all_to_all", loc, &sp);
-    const double t_max = max_published_time();
-
-    std::vector<std::vector<T>> incoming(static_cast<std::size_t>(size_));
-    std::size_t max_pair_bytes = 0;
-    for (int s = 0; s < size_; ++s) {
-      const auto& slot = ctx_->slot(s);
-      auto their_lens = from_bytes<std::uint64_t>(
-          std::span<const std::byte>(slot.data(),
-                                     static_cast<std::size_t>(size_) *
-                                         sizeof(std::uint64_t)));
-      std::size_t off = static_cast<std::size_t>(size_) * sizeof(std::uint64_t);
-      for (int d = 0; d < size_; ++d) {
-        const std::size_t seg = static_cast<std::size_t>(
-                                    their_lens[static_cast<std::size_t>(d)]) *
-                                sizeof(T);
-        if (d != s) max_pair_bytes = std::max(max_pair_bytes, seg);
-        if (d == rank_) {
-          incoming[static_cast<std::size_t>(s)] = from_bytes<T>(
-              std::span<const std::byte>(slot.data() + off, seg));
+    return rendezvous("all_to_all", sp, std::move(frame), loc, [&] {
+      std::vector<std::vector<T>> incoming(static_cast<std::size_t>(size_));
+      std::size_t max_pair_bytes = 0;
+      for (int s = 0; s < size_; ++s) {
+        const auto& slot = ctx_->slot(s);
+        auto their_lens = from_bytes<std::uint64_t>(
+            std::span<const std::byte>(slot.data(),
+                                       static_cast<std::size_t>(size_) *
+                                           sizeof(std::uint64_t)));
+        std::size_t off =
+            static_cast<std::size_t>(size_) * sizeof(std::uint64_t);
+        for (int d = 0; d < size_; ++d) {
+          const std::size_t seg = static_cast<std::size_t>(
+                                      their_lens[static_cast<std::size_t>(d)]) *
+                                  sizeof(T);
+          if (d != s) max_pair_bytes = std::max(max_pair_bytes, seg);
+          if (d == rank_) {
+            incoming[static_cast<std::size_t>(s)] = from_bytes<T>(
+                std::span<const std::byte>(slot.data() + off, seg));
+          }
+          off += seg;
         }
-        off += seg;
       }
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->all_to_all_personalized(size_, max_pair_bytes));
-    ctx_->reuse_barrier();
-    return incoming;
+      return std::pair{std::move(incoming),
+                       cost_->all_to_all_personalized(size_, max_pair_bytes)};
+    });
   }
 
  private:
-  /// Span guard + per-primitive metrics for one collective (or p2p) call.
-  /// Resolves to no work at all when the tracer is disabled.  This is also
-  /// the fault-injection point: it runs before the primitive publishes
+  /// Span guard + per-primitive metrics for one collective call.  Resolves
+  /// to no work at all when the tracer is disabled.  This is also the
+  /// fault-injection point: it runs before the primitive publishes
   /// anything, so an injected CommFault leaves the collective context
   /// untouched and the runtime's abort path can unwind every other rank.
   obs::SpanGuard prim_span(std::string_view prim,
-                           std::uint64_t bytes = obs::kNoArg,
-                           bool collective = true) {
+                           std::uint64_t bytes = obs::kNoArg) {
     if (fault_ && fault_->enabled()) {
       try {
-        fault_->on_comm(prim, collective);
+        fault_->on_comm(prim);
       } catch (...) {
         tracer_.count("fault.comm_injected");
         throw;
@@ -461,6 +383,46 @@ class Comm {
       }
     }
     return obs::SpanGuard(tracer_, prim, "comm", bytes);
+  }
+
+  /// The one collective protocol.  Publishes this rank's payload, modeled
+  /// time and lockstep claim; once every member has published, `read`
+  /// interprets the members' slots in place and returns {result, Table-1
+  /// cost}; then the rank waits for the last publisher and pays the cost.
+  /// The three barriers keep the slots stable from publish to the end of
+  /// every member's read, and free for the next collective after.  `loc`
+  /// is the public caller's call site: it names the collective in the
+  /// lockstep record and in the span's site stamp.
+  template <class Read>
+  auto rendezvous(std::string_view prim, obs::SpanGuard& sp,
+                  std::vector<std::byte> payload,
+                  const std::source_location& loc, Read read) ->
+      typename std::invoke_result_t<Read&>::first_type {
+    if (tracer_.enabled()) {
+      // Stamp the span with this collective's cross-rank identity so the
+      // profiler can align it with the other members' spans offline.
+      sp.set_sync(lockstep_site_hash(loc.file_name(), loc.line(), prim),
+                  comm_id_, coll_seq_);
+    }
+    if (lockstep_) {
+      ctx_->audit_slot(rank_) = make_lockstep_record(prim, coll_seq_, loc);
+    }
+    ctx_->time_slot(rank_) = clock_->total();
+    ctx_->slot(rank_) = std::move(payload);
+    ctx_->publish_barrier();
+    ++coll_seq_;
+    if (lockstep_) check_lockstep();
+
+    double t_max = 0.0;
+    for (int r = 0; r < size_; ++r) {
+      t_max = std::max(t_max, ctx_->time_slot(r));
+    }
+    auto [result, cost] = read();
+    ctx_->read_barrier();
+    clock_->wait_until(t_max);
+    clock_->add_comm(cost);
+    ctx_->reuse_barrier();
+    return std::move(result);
   }
 
   /// Derives a subgroup communicator id: FNV-1a over the parent id, the
@@ -485,38 +447,11 @@ class Comm {
     return group_ ? (*group_)[static_cast<std::size_t>(r)] : r;
   }
 
-  int to_local(int global) const {
-    if (!group_) return global;
-    for (std::size_t i = 0; i < group_->size(); ++i) {
-      if ((*group_)[i] == global) return static_cast<int>(i);
-    }
-    return global;  // message from outside the group: report global id
-  }
-
   template <Wireable T>
   static void append_bytes(std::vector<std::byte>& out,
                            std::span<const T> data) {
     const auto bytes = to_bytes(data);
     out.insert(out.end(), bytes.begin(), bytes.end());
-  }
-
-  void sync_publish(std::vector<std::byte> payload, std::string_view prim,
-                    const std::source_location& loc,
-                    obs::SpanGuard* sp = nullptr) {
-    if (sp && tracer_.enabled()) {
-      // Stamp the span with this collective's cross-rank identity so the
-      // profiler can align it with the other members' spans offline.
-      sp->set_sync(lockstep_site_hash(loc.file_name(), loc.line(), prim),
-                   comm_id_, coll_seq_);
-    }
-    if (lockstep_) {
-      ctx_->audit_slot(rank_) = make_lockstep_record(prim, coll_seq_, loc);
-    }
-    ctx_->time_slot(rank_) = clock_->total();
-    ctx_->slot(rank_) = std::move(payload);
-    ctx_->publish_barrier();
-    ++coll_seq_;
-    if (lockstep_) check_lockstep();
   }
 
   /// Cross-checks every rank's lockstep claim after the publish barrier,
@@ -551,22 +486,9 @@ class Comm {
     throw LockstepError(std::move(report));
   }
 
-  double max_published_time() const {
-    double t = 0.0;
-    for (int r = 0; r < size_; ++r) t = std::max(t, ctx_->time_slot(r));
-    return t;
-  }
-
-  /// Align this rank to the collective's start time and charge its cost.
-  void settle(double t_max, double comm_cost) {
-    clock_->wait_until(t_max);
-    clock_->add_comm(comm_cost);
-  }
-
   int rank_;
   int size_;
   const CostModel* cost_;
-  std::vector<Mailbox>* mailboxes_;
   CollectiveContext* ctx_;
   Clock* clock_;
   SplitArena* arena_ = nullptr;

@@ -1,8 +1,7 @@
 #pragma once
 
 // Communication cost model: the exact formulas of Table 1 of the paper
-// (collective primitives on a cut-through routed hypercube), plus the
-// point-to-point model tau + mu*m from Section 2.
+// (collective primitives on a cut-through routed hypercube).
 //
 //   All-to-all broadcast : tau*log p + mu*m*(p-1)
 //   Gather               : tau*log p + mu*m*p
@@ -24,10 +23,6 @@ namespace pdc::mp {
 class CostModel {
  public:
   explicit CostModel(const Machine& machine) : m_(machine) {}
-
-  double point_to_point(std::size_t bytes) const {
-    return m_.tau + m_.mu * static_cast<double>(bytes);
-  }
 
   // With a single processor no communication happens, so every collective
   // is free (the formulas below would otherwise keep their mu*m term).

@@ -24,10 +24,11 @@
 // Default: on in debug builds (NDEBUG unset), off in release; the
 // PDC_LOCKSTEP=0|1 environment variable or Runtime::set_lockstep overrides.
 //
-// Limits: the auditor detects *divergent* collectives, where every rank
-// still reaches a collective rendezvous.  A rank that blocks in p2p recv()
-// (or never calls anything) while the others enter a collective is a
-// deadlock the auditor cannot turn into a report.
+// Every blocking call of the runtime is a collective, so every rendezvous
+// is audited.  Limits: the auditor detects *divergent* collectives, where
+// every rank still reaches a collective rendezvous.  A rank that never
+// reaches one (it loops, or returns while the others enter a collective)
+// is a deadlock the auditor cannot turn into a report.
 
 #include <cstdint>
 #include <source_location>

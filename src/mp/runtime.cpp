@@ -86,8 +86,8 @@ SpmdReport Runtime::run(const std::function<void(Comm&)>& body,
   if (tracer && tracer->nranks() != nprocs_) {
     throw std::invalid_argument("Runtime: tracer built for wrong nranks");
   }
+  if (faults) faults->check_ranks(nprocs_);
   const auto n = static_cast<std::size_t>(nprocs_);
-  std::vector<Mailbox> mailboxes(n);
   CollectiveContext ctx(nprocs_);
   SplitArena arena;
   std::vector<Clock> clocks(n);
@@ -109,8 +109,8 @@ SpmdReport Runtime::run(const std::function<void(Comm&)>& body,
     const auto urank = static_cast<std::size_t>(rank);
     obs::RankTracer rtrace =
         tracer ? tracer->rank(rank, &clocks[urank]) : obs::RankTracer{};
-    Comm comm(rank, nprocs_, &cost_, &mailboxes, &ctx, &clocks[urank], &arena,
-              nullptr, nullptr, rtrace, faults ? &injectors[urank] : nullptr);
+    Comm comm(rank, nprocs_, &cost_, &ctx, &clocks[urank], &arena, nullptr,
+              nullptr, rtrace, faults ? &injectors[urank] : nullptr);
     comm.set_lockstep_audit(lockstep_);
     try {
       body(comm);
@@ -123,7 +123,6 @@ SpmdReport Runtime::run(const std::function<void(Comm&)>& body,
       }
       ctx.abort();
       arena.abort_all();
-      for (auto& mb : mailboxes) mb.abort();
     }
   };
 

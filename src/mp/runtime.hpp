@@ -11,8 +11,9 @@
 //   });
 //   double t = report.parallel_time();           // modeled seconds
 //
-// If any rank throws, the runtime aborts every blocked rank (AbortError) and
-// rethrows the first non-abort exception on the caller's thread.
+// If any rank throws, the runtime aborts every rank blocked in a collective
+// (AbortError) and rethrows the first non-abort exception on the caller's
+// thread.
 
 #include <functional>
 #include <memory>
@@ -25,7 +26,6 @@
 #include "mp/comm.hpp"
 #include "mp/cost_model.hpp"
 #include "mp/machine.hpp"
-#include "mp/mailbox.hpp"
 #include "obs/trace.hpp"
 
 namespace pdc::mp {
@@ -75,7 +75,9 @@ class Runtime {
   /// outlives the run and can then be exported with chrome_json().
   /// When `faults` is non-null each rank gets a fault injector over the
   /// plan, reachable via Comm::fault(); an injected comm fault aborts the
-  /// whole run and rethrows here, like any other rank failure.
+  /// whole run and rethrows here, like any other rank failure.  A plan
+  /// that targets a rank >= nprocs is refused (std::invalid_argument)
+  /// before any rank starts.
   SpmdReport run(const std::function<void(Comm&)>& body,
                  obs::Tracer* tracer = nullptr,
                  const fault::FaultPlan* faults = nullptr);

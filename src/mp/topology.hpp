@@ -1,8 +1,9 @@
 #pragma once
 
-// Hypercube topology helpers used by the cost model.  The paper's complexity
-// analysis (Table 1) is for a p-processor hypercube with cut-through routing;
-// the same bounds hold for permutation networks such as the IBM SP series.
+// The hypercube dimension the cost model charges collectives over.  The
+// paper's complexity analysis (Table 1) is for a p-processor hypercube with
+// cut-through routing; the same bounds hold for permutation networks such
+// as the IBM SP series.
 
 #include <bit>
 #include <cstdint>
@@ -16,10 +17,5 @@ inline int ceil_log2(int p) {
   if (p <= 1) return 0;
   return std::bit_width(static_cast<std::uint32_t>(p - 1));
 }
-
-inline bool is_power_of_two(int p) { return p > 0 && (p & (p - 1)) == 0; }
-
-/// Neighbor of `rank` across hypercube dimension `dim`.
-inline int hypercube_neighbor(int rank, int dim) { return rank ^ (1 << dim); }
 
 }  // namespace pdc::mp

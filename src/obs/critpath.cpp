@@ -80,11 +80,6 @@ CritGraph CritGraph::from_trace(const Tracer& tracer,
         op.kind = CritOp::Kind::kCollective;
         op.comm = ev.comm;
         op.seq = ev.seq;
-      } else if (ev.cat == "comm" && span_names::is_p2p(ev.name)) {
-        op.kind = ev.name == span_names::kSend ? CritOp::Kind::kSend
-                                               : CritOp::Kind::kRecv;
-        op.peer = ev.peer;
-        op.seq = ev.seq;
       } else if (span_names::is_io_atomic(ev.name)) {
         op.kind = CritOp::Kind::kIo;
       } else {
@@ -106,15 +101,12 @@ CritGraph CritGraph::from_timelines(std::vector<RankTimeline> ranks) {
 
 void CritGraph::index_graph() {
   groups_.clear();
-  sends_.clear();
   for (int r = 0; r < nranks(); ++r) {
     auto& ops = ranks_[static_cast<std::size_t>(r)].ops;
     for (std::size_t i = 0; i < ops.size(); ++i) {
       const CritOp& op = ops[i];
       if (op.kind == CritOp::Kind::kCollective && op.comm != kNoArg) {
         groups_[{op.comm, op.seq}].members.emplace_back(r, i);
-      } else if (op.kind == CritOp::Kind::kSend) {
-        sends_[{static_cast<std::uint64_t>(r), op.seq}] = {r, i};
       }
     }
   }
@@ -136,37 +128,12 @@ void CritGraph::index_graph() {
       op.cost_s = std::max(0.0, op.end_s - group.t_max);
     }
   }
-  // Receive cost: tau past the matched message's arrival (the send span's
-  // end on the sender's timeline).  Without a match the whole span counts
-  // as comm — conservative, and unreachable for runs traced end to end.
-  for (int r = 0; r < nranks(); ++r) {
-    auto& ops = ranks_[static_cast<std::size_t>(r)].ops;
-    for (CritOp& op : ops) {
-      if (op.kind == CritOp::Kind::kSend) {
-        op.cost_s = op.end_s - op.begin_s;
-      } else if (op.kind == CritOp::Kind::kRecv) {
-        const CritOp* send = send_of(op.peer, op.seq);
-        const double arrival = send ? send->end_s : op.begin_s;
-        op.cost_s =
-            std::max(0.0, op.end_s - std::max(op.begin_s, arrival));
-      }
-    }
-  }
 }
 
 const CritGraph::CollectiveGroup* CritGraph::group_of(const CritOp& op) const {
   if (op.comm == kNoArg) return nullptr;
   const auto it = groups_.find({op.comm, op.seq});
   return it == groups_.end() ? nullptr : &it->second;
-}
-
-const CritOp* CritGraph::send_of(std::uint64_t sender, std::uint64_t seq,
-                                 int* send_rank) const {
-  const auto it = sends_.find({sender, seq});
-  if (it == sends_.end()) return nullptr;
-  const auto [r, i] = it->second;
-  if (send_rank) *send_rank = r;
-  return &ranks_[static_cast<std::size_t>(r)].ops[i];
 }
 
 double CritGraph::parallel_time_s() const {
@@ -240,26 +207,6 @@ std::vector<CritSegment> CritGraph::critical_path() const {
         emit(r, op.begin_s, t, CritBucket::kIo, op.name);
         t = op.begin_s;
         break;
-      case CritOp::Kind::kSend:
-        emit(r, op.begin_s, t, CritBucket::kComm, op.name);
-        t = op.begin_s;
-        break;
-      case CritOp::Kind::kRecv: {
-        int sender = r;
-        const CritOp* send = send_of(op.peer, op.seq, &sender);
-        const double arrival = send ? send->end_s : op.begin_s;
-        const double comm_start = std::max(op.begin_s, arrival);
-        emit(r, comm_start, t, CritBucket::kComm, op.name);
-        if (send && arrival > op.begin_s) {
-          // This rank sat waiting for the message: the path continues on
-          // the sender at the moment the message departed/arrived.
-          t = arrival;
-          r = sender;
-        } else {
-          t = op.begin_s;
-        }
-        break;
-      }
       case CritOp::Kind::kCollective: {
         const CollectiveGroup* g = group_of(op);
         if (!g) {
@@ -286,7 +233,6 @@ double CritGraph::replay(const ReplayScales& scales) const {
   std::vector<std::size_t> idx(p, 0);
   std::map<Key, std::map<int, double>> arrivals;
   std::map<Key, double> coll_done;
-  std::map<Key, double> send_done;
 
   std::size_t remaining = 0;
   for (const auto& tl : ranks_) remaining += tl.ops.size();
@@ -310,25 +256,6 @@ double CritGraph::replay(const ReplayScales& scales) const {
           case CritOp::Kind::kIo:
             now[r] += dur * scales.io * cscale(r);
             break;
-          case CritOp::Kind::kSend:
-            now[r] += op.cost_s * scales.comm;
-            send_done[{static_cast<std::uint64_t>(r), op.seq}] = now[r];
-            break;
-          case CritOp::Kind::kRecv: {
-            const Key key{op.peer, op.seq};
-            const auto done = send_done.find(key);
-            if (done == send_done.end()) {
-              if (sends_.count(key) != 0) {
-                blocked = true;  // the matching send has not replayed yet
-                break;
-              }
-              now[r] += op.cost_s * scales.comm;  // unmatched: cost only
-              break;
-            }
-            now[r] = std::max(now[r], done->second) +
-                     op.cost_s * scales.comm;
-            break;
-          }
           case CritOp::Kind::kCollective: {
             const CollectiveGroup* g = group_of(op);
             if (!g || g->members.size() < 2) {
@@ -362,8 +289,8 @@ double CritGraph::replay(const ReplayScales& scales) const {
       }
     }
     if (!progress) {
-      // Inconsistent hand-built graph (a recv before its send in program
-      // order, or a collective with an absent member): refuse to spin.
+      // Inconsistent hand-built graph (two ranks entering the same two
+      // collectives in opposite orders): refuse to spin.
       throw std::logic_error("CritGraph::replay: dependency deadlock");
     }
   }

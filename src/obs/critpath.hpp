@@ -4,18 +4,15 @@
 //
 // The modeled run already records everything needed to reconstruct its
 // dependency structure offline: every clock-advancing operation is a trace
-// span, collectives carry a (comm, seq) identity that is equal across the
-// member ranks of one collective instance, and p2p messages carry a
-// sender-channel sequence number matching each recv span to its send span.
-// From one Tracer this module derives, per rank, an ordered timeline of
-// atomic ops —
+// span, and collectives — the runtime's only cross-rank operations — carry
+// a (comm, seq) identity that is equal across the member ranks of one
+// collective instance.  From one Tracer this module derives, per rank, an
+// ordered timeline of atomic ops —
 //
 //   kCompute     a gap between recorded clock-advancing events (the cost
 //                hooks charge compute inside phase spans, never idle/comm)
 //   kIo          a disk event that stalled the rank (sync charge, async
 //                settle stall, or retry backoff)
-//   kSend        p2p send: pure comm cost, defines the message's arrival
-//   kRecv        p2p recv: idle until the matched send completes + tau
 //   kCollective  one member's view of a collective: idle until the last
 //                member publishes (t_max), then the settle cost
 //
@@ -24,10 +21,10 @@
 //   critical_path(): the exact backward walk from the slowest rank's final
 //   timeline position.  Time-continuous by construction: inside a
 //   collective the walk jumps to the rank that published last (the member
-//   that made everyone wait), inside a recv it jumps to the sender, and
-//   between events it attributes pure compute — so the returned segments
-//   partition [0, parallel_time_s] exactly and their bucket sums close to
-//   the makespan within float summation error.
+//   that made everyone wait), and between events it attributes pure
+//   compute — so the returned segments partition [0, parallel_time_s]
+//   exactly and their bucket sums close to the makespan within float
+//   summation error.
 //
 //   replay(): deterministic re-execution of the fixed DAG under
 //   counterfactual cost scales (comm x0 = zero-cost network with the same
@@ -52,20 +49,18 @@ namespace pdc::obs {
 
 /// One atomic operation on a rank's modeled timeline.
 struct CritOp {
-  enum class Kind : std::uint8_t { kCompute, kIo, kSend, kRecv, kCollective };
+  enum class Kind : std::uint8_t { kCompute, kIo, kCollective };
 
   Kind kind = Kind::kCompute;
   double begin_s = 0.0;
   double end_s = 0.0;
-  /// Comm cost of the op (collective: settle cost shared by all members;
-  /// send: the whole span; recv: the receive overhead tau).  Zero for
-  /// compute/io ops.
+  /// Comm cost of the op: a collective's settle cost, shared by all
+  /// members.  Zero for compute/io ops.
   double cost_s = 0.0;
   /// Collective identity (kCollective only): communicator id + sequence.
   std::uint64_t comm = kNoArg;
-  std::uint64_t seq = kNoArg;   ///< collective seq / sender-channel seq
-  std::uint64_t peer = kNoArg;  ///< world rank of the other endpoint (p2p)
-  std::string name;             ///< span name (rollup/report key)
+  std::uint64_t seq = kNoArg;
+  std::string name;  ///< span name (rollup/report key)
 };
 
 /// One rank's ordered, disjoint op list.  `end_s` is the rank's final
@@ -107,8 +102,8 @@ class CritGraph {
   static CritGraph from_trace(const Tracer& tracer,
                               const std::vector<mp::ClockSnapshot>& clocks);
 
-  /// Builds from hand-made timelines (tests).  Collective groups and p2p
-  /// matches are derived from the ops' identity fields.
+  /// Builds from hand-made timelines (tests).  Collective groups are
+  /// derived from the ops' identity fields.
   static CritGraph from_timelines(std::vector<RankTimeline> ranks);
 
   int nranks() const { return static_cast<int>(ranks_.size()); }
@@ -145,12 +140,8 @@ class CritGraph {
   std::vector<RankTimeline> ranks_;
   /// Collective instances by (communicator id, collective seq).
   std::map<Key, CollectiveGroup> groups_;
-  /// Send ops by (sender world rank, channel seq).
-  std::map<Key, std::pair<int, std::size_t>> sends_;
 
   const CollectiveGroup* group_of(const CritOp& op) const;
-  const CritOp* send_of(std::uint64_t sender, std::uint64_t seq,
-                        int* send_rank = nullptr) const;
 };
 
 }  // namespace pdc::obs

@@ -15,7 +15,6 @@ namespace {
 /// (kComplete) is a phase span whose interior is tiled by atomics.
 bool is_atomic(const TraceEvent& ev) {
   if (ev.comm != kNoArg && ev.site != kNoArg) return true;
-  if (ev.cat == "comm" && span_names::is_p2p(ev.name)) return true;
   return span_names::is_io_atomic(ev.name);
 }
 

@@ -39,8 +39,6 @@ inline constexpr std::string_view kPrune = "prune";
 inline constexpr std::string_view kEvaluate = "evaluate";
 
 // -------------------------------------- communication primitives (mp) ---
-inline constexpr std::string_view kSend = "send";
-inline constexpr std::string_view kRecv = "recv";
 inline constexpr std::string_view kBarrier = "barrier";
 inline constexpr std::string_view kAllToAllBroadcast = "all_to_all_broadcast";
 inline constexpr std::string_view kGather = "gather";
@@ -81,7 +79,7 @@ inline constexpr std::string_view kAll[] = {
     kPresort,        kSplitEval,      kCombinerExchange,
     kVotingExchange, kLargeNode,      kRedistribute,   kSmallNodeDrain,
     kCheckpointWrite, kCheckpointRestore, kPrune,
-    kEvaluate,       kSend,           kRecv,
+    kEvaluate,
     kBarrier,        kAllToAllBroadcast, kGather,
     kBroadcast,      kAllReduce,      kAllReduceVec,
     kPrefixSum,      kMinLoc,         kAllToAll,
@@ -97,12 +95,6 @@ inline constexpr bool is_registered(std::string_view name) {
     if (s == name) return true;
   }
   return false;
-}
-
-/// Point-to-point span names (the only comm spans without a collective
-/// site stamp).
-inline constexpr bool is_p2p(std::string_view name) {
-  return name == kSend || name == kRecv;
 }
 
 /// Disk events that advance the rank's modeled clock; everything they

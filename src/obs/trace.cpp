@@ -123,7 +123,6 @@ Json event_json(const TraceEvent& ev, int rank) {
     }
     arg("comm", ev.comm);
     arg("seq", ev.seq);
-    arg("peer", ev.peer);
     arg("depth", ev.depth);
   }
   if (args.size() != 0) j.set("args", std::move(args));

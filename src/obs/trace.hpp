@@ -51,14 +51,11 @@ struct TraceEvent {
 
   // Synchronization identity (obs/critpath.hpp): collectives carry the
   // lockstep site hash, their communicator id and per-communicator
-  // sequence number; p2p spans carry the peer's world rank and the
-  // sender-channel sequence number.  Grouping spans across tracks by
-  // (comm, seq) — or matching send/recv pairs by (peer, seq) — recovers
-  // every cross-rank dependency edge of the run offline.
+  // sequence number.  Grouping spans across tracks by (comm, seq)
+  // recovers every cross-rank dependency edge of the run offline.
   std::uint64_t site = kNoArg;  ///< collective call-site hash
-  std::uint64_t comm = kNoArg;  ///< communicator id (collectives)
-  std::uint64_t seq = kNoArg;   ///< collective / sender-channel sequence
-  std::uint64_t peer = kNoArg;  ///< other endpoint's world rank (p2p)
+  std::uint64_t comm = kNoArg;  ///< communicator id
+  std::uint64_t seq = kNoArg;   ///< collective sequence on `comm`
   std::uint64_t depth = kNoArg; ///< tree depth of the enclosing task
 };
 
@@ -172,13 +169,6 @@ class SpanGuard {
   void set_sync(std::uint64_t site, std::uint64_t comm, std::uint64_t seq) {
     ev_.site = site;
     ev_.comm = comm;
-    ev_.seq = seq;
-  }
-
-  /// Stamp the endpoint identity of a p2p span (peer's world rank plus
-  /// the sender-channel sequence number that matches send to recv).
-  void set_channel(std::uint64_t peer, std::uint64_t seq) {
-    ev_.peer = peer;
     ev_.seq = seq;
   }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <mutex>
@@ -61,6 +62,17 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("disk_read:times=0"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("disk_read:torn=yes"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("disk_read:color=red"), std::invalid_argument);
+  // Plans that could never fire: the retired p2p site, and ranks below -1
+  // or past INT_MAX (4294967297 would otherwise wrap to rank 1).
+  EXPECT_THROW(FaultPlan::parse("comm_p2p:op=1"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("comm_coll:rank=-2:op=1"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("comm_coll:rank=2147483648:op=1"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("comm_coll:rank=4294967297:op=1"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(FaultPlan::parse("comm_coll:rank=-1:op=1"));
+  EXPECT_NO_THROW(FaultPlan::parse("comm_coll:rank=2147483647:op=1"));
 }
 
 TEST(FaultPlan, SeededScenariosAreReplayable) {
@@ -113,10 +125,9 @@ TEST(RankFault, TornWriteFiresOnceAndOnlyOnWrites) {
 TEST(RankFault, CommFaultThrowsAtTheMatchingPrimitive) {
   const auto plan = FaultPlan::parse("comm_coll:op=2");
   RankFault f(&plan, 0, nullptr);
-  EXPECT_NO_THROW(f.on_comm("barrier", /*collective=*/true));
-  EXPECT_NO_THROW(f.on_comm("send", /*collective=*/false));  // p2p site
-  EXPECT_THROW(f.on_comm("all_reduce", true), CommFault);
-  EXPECT_NO_THROW(f.on_comm("all_reduce", true));  // spec spent
+  EXPECT_NO_THROW(f.on_comm("barrier"));
+  EXPECT_THROW(f.on_comm("all_reduce"), CommFault);
+  EXPECT_NO_THROW(f.on_comm("all_reduce"));  // spec spent
 }
 
 // ---- LocalDisk retry / torn writes ----
@@ -280,21 +291,20 @@ TEST(CommFaults, InjectedCollectiveFaultAbortsEveryRank) {
                CommFault);
 }
 
-TEST(CommFaults, InjectedP2pFaultAbortsTheRun) {
-  const auto plan = FaultPlan::parse("comm_p2p:rank=1:op=1");
-  mp::Runtime rt(2);
-  EXPECT_THROW(rt.run(
-                   [&](mp::Comm& comm) {
-                     if (comm.rank() == 0) {
-                       comm.send_value<int>(1, 0, 42);
-                       comm.recv_value<int>(1, 1);
-                     } else {
-                       comm.recv_value<int>(0, 0);
-                       comm.send_value<int>(0, 1, 43);
-                     }
-                   },
-                   nullptr, &plan),
-               CommFault);
+TEST(CommFaults, PlanForAMissingRankIsRefusedBeforeAnyRankStarts) {
+  const auto plan = FaultPlan::parse("disk_read:op=3;comm_coll:rank=4:op=1");
+  EXPECT_NO_THROW(plan.check_ranks(5));
+  mp::Runtime rt(4);
+  std::atomic<bool> ran{false};
+  try {
+    rt.run([&](mp::Comm&) { ran.store(true); }, nullptr, &plan);
+    ADD_FAILURE() << "a plan for rank 4 ran on 4 ranks";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'comm_coll:rank=4:op=1'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(ran.load());
 }
 
 // ---- end-to-end: training under faults, checkpoint/restart ----
@@ -319,12 +329,25 @@ pclouds::PcloudsConfig train_cfg(std::uint64_t checkpoint_every, bool resume) {
   return cfg;
 }
 
+/// Adds a rank's injected-fault count to `total` when the rank body exits,
+/// normally or by exception.  Declared first in the body, it outlives the
+/// rank's disk and its I/O worker, so every disk fault is counted.
+struct InjectedTally {
+  const mp::Comm& comm;
+  std::atomic<std::uint64_t>* total;
+  ~InjectedTally() {
+    if (total && comm.fault()) total->fetch_add(comm.fault()->injected());
+  }
+};
+
 /// One training run over `arena` (which may already hold data and
 /// snapshots from a previous, killed run).  Throws whatever the injected
-/// faults make the runtime throw.
+/// faults make the runtime throw.  `injected`, when given, receives the
+/// faults injected over all ranks, also when the run dies.
 TrainResult run_training(io::ScratchArena& arena, int p, std::uint64_t n,
                          const pclouds::PcloudsConfig& cfg,
-                         const FaultPlan* faults) {
+                         const FaultPlan* faults,
+                         std::atomic<std::uint64_t>* injected = nullptr) {
   mp::Runtime rt(p);
   data::AgrawalGenerator gen({.function = 2, .seed = 17});
   data::DatasetPartition part(n, p);
@@ -334,6 +357,7 @@ TrainResult run_training(io::ScratchArena& arena, int p, std::uint64_t n,
   std::mutex mu;
   rt.run(
       [&](mp::Comm& comm) {
+        const InjectedTally tally{comm, injected};
         io::LocalDisk disk(arena.rank_dir(comm.rank()), &comm.cost(),
                            &comm.clock(), comm.tracer(), comm.fault());
         data::materialize_local_slice(gen, part, comm.rank(), disk,
@@ -399,9 +423,11 @@ TEST(CheckpointRestart, ResumeWithoutSnapshotsStartsFresh) {
 // The seeded scenario matrix: 8 seeds x {disk, comm}.  Every scenario
 // either rides through (transient faults absorbed by retries; the tree is
 // untouched) or dies — and then a restart over the same disks must land on
-// the fault-free tree.  The site class is a std::string, not a const char*:
-// gtest prints a char pointer with its address, and that address would end
-// up in the discovered ctest name and change with every build.
+// the fault-free tree.  Every scenario must inject at least one fault: a
+// plan that never fires would pass without testing anything.  The site
+// class is a std::string, not a const char*: gtest prints a char pointer
+// with its address, and that address would end up in the discovered ctest
+// name and change with every build.
 class FaultMatrix
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::string>> {
 };
@@ -419,11 +445,12 @@ TEST_P(FaultMatrix, EveryScenarioEndsInTheFaultFreeTree) {
 
   const auto plan = FaultPlan::seeded(seed, site_class, p);
   io::ScratchArena arena("fault_matrix", p);
+  std::atomic<std::uint64_t> injected{0};
   bool died = false;
   std::string outcome;
   try {
-    outcome =
-        tree_bytes(run_training(arena, p, n, train_cfg(2, false), &plan).tree);
+    outcome = tree_bytes(
+        run_training(arena, p, n, train_cfg(2, false), &plan, &injected).tree);
   } catch (const DiskFault&) {
     died = true;
   } catch (const CommFault&) {
@@ -433,6 +460,7 @@ TEST_P(FaultMatrix, EveryScenarioEndsInTheFaultFreeTree) {
     outcome = tree_bytes(
         run_training(arena, p, n, train_cfg(2, true), nullptr).tree);
   }
+  EXPECT_GT(injected.load(), 0u) << "plan " << plan.to_string();
   EXPECT_EQ(outcome, reference)
       << "seed=" << seed << " class=" << site_class << " died=" << died;
 }

@@ -1,5 +1,5 @@
-// Unit tests for the hypercube cost model (Table 1 of the paper) and the
-// topology helpers.
+// Unit tests for the hypercube cost model (Table 1 of the paper) and its
+// hypercube dimension.
 
 #include <gtest/gtest.h>
 
@@ -19,26 +19,6 @@ TEST(Topology, CeilLog2) {
   EXPECT_EQ(ceil_log2(8), 3);
   EXPECT_EQ(ceil_log2(16), 4);
   EXPECT_EQ(ceil_log2(17), 5);
-}
-
-TEST(Topology, PowerOfTwo) {
-  EXPECT_TRUE(is_power_of_two(1));
-  EXPECT_TRUE(is_power_of_two(16));
-  EXPECT_FALSE(is_power_of_two(0));
-  EXPECT_FALSE(is_power_of_two(6));
-}
-
-TEST(Topology, HypercubeNeighbor) {
-  EXPECT_EQ(hypercube_neighbor(0, 0), 1);
-  EXPECT_EQ(hypercube_neighbor(5, 1), 7);
-  EXPECT_EQ(hypercube_neighbor(7, 2), 3);
-}
-
-TEST(CostModel, PointToPointIsTauPlusMuM) {
-  Machine m;
-  CostModel c(m);
-  EXPECT_DOUBLE_EQ(c.point_to_point(0), m.tau);
-  EXPECT_DOUBLE_EQ(c.point_to_point(1000), m.tau + m.mu * 1000);
 }
 
 TEST(CostModel, Table1Formulas) {

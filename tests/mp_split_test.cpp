@@ -1,6 +1,5 @@
 // Tests for communicator splitting (Comm::split): group formation, rank
-// ordering, scoped collectives and point-to-point, nesting, and clock
-// semantics.
+// ordering, scoped collectives, nesting, and clock semantics.
 
 #include <gtest/gtest.h>
 
@@ -46,21 +45,6 @@ TEST(Split, CollectivesScopedToGroup) {
     for (int g : gathered) {
       EXPECT_EQ(g < 3, color == 0);  // only my group's members
     }
-  });
-}
-
-TEST(Split, PointToPointUsesGroupRanks) {
-  Runtime rt(6);
-  rt.run([&](Comm& world) {
-    Comm sub = world.split(world.rank() % 2);
-    // Ring within the subgroup.
-    const int next = (sub.rank() + 1) % sub.size();
-    sub.send_value<int>(next, 5, sub.rank() * 100);
-    int src = -1;
-    const int got = sub.recv_value<int>(
-        (sub.rank() + sub.size() - 1) % sub.size(), 5, &src);
-    EXPECT_EQ(got, ((sub.rank() + sub.size() - 1) % sub.size()) * 100);
-    EXPECT_EQ(src, (sub.rank() + sub.size() - 1) % sub.size());
   });
 }
 

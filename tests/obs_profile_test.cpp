@@ -28,58 +28,46 @@ namespace {
 
 // ---------------------------------------------------- hand-built graph ---
 
-// Three ranks, one collective, one p2p exchange:
+// Three ranks, two collectives: one over all three ranks (communicator
+// 42) and a two-member one between ranks 0 and 2 (communicator 43):
 //
-//   r0: compute [0,1]   coll pub@1 ]      compute   send      compute
-//   r1: compute [0,3]   coll pub@3 ] 3.5  compute (ends 4.1)
-//   r2: compute [0,2]   coll pub@2 ]      compute   recv      compute
+//   r0: compute [0,1]   world pub@1 ]      compute   pair pub@4.0 ]  compute
+//   r1: compute [0,3]   world pub@3 ] 3.5  compute (ends 4.1)
+//   r2: compute [0,2]   world pub@2 ]      compute   pair pub@3.8 ]  compute
 //
-// The collective settles at t_max=3 (rank 1 published last) + cost 0.5.
-// Rank 0 then computes [3.5,4.0], sends [4.0,4.3] to rank 2, computes to
-// 4.4.  Rank 2 computes [3.5,3.8], blocks in recv until the message's
-// arrival 4.3 plus tau 0.2 (ends 4.5), computes to 5.0 — the makespan.
+// The world collective settles at t_max=3 (rank 1 published last) + cost
+// 0.5.  Rank 0 then computes [3.5,4.0] and rank 2 [3.5,3.8] before they
+// meet in the pair collective, which settles at t_max=4.0 (rank 0
+// published last) + cost 0.5 = 4.5.  Rank 0 computes to 4.6, rank 2 to
+// 5.0 — the makespan.
 //
-// Exact critical path, walked backward from t=5.0 on rank 2:
-//   r2 compute [4.5,5.0] -> r2 comm(recv) [4.3,4.5] -> jump to sender
-//   r0 comm(send) [4.0,4.3] -> r0 compute [3.5,4.0] -> r0 comm(coll)
-//   [3.0,3.5] -> jump to cause rank 1 -> r1 compute [0,3].
+// Exact critical path, walked backward from t=5.0 on rank 2; each
+// collective jumps to the member that published last:
+//   r2 compute [4.5,5.0] -> r2 comm(pair) [4.0,4.5] -> jump to rank 0
+//   r0 compute [3.5,4.0] -> r0 comm(world) [3.0,3.5] -> jump to rank 1
+//   r1 compute [0,3].
 CritGraph hand_graph() {
-  constexpr std::uint64_t kComm = 42;
+  constexpr std::uint64_t kWorld = 42;
+  constexpr std::uint64_t kPair = 43;
   std::vector<RankTimeline> ranks(3);
 
-  const auto coll = [&](double publish) {
+  const auto coll = [](std::uint64_t comm, double publish, double end) {
     CritOp op;
     op.kind = CritOp::Kind::kCollective;
     op.begin_s = publish;
-    op.end_s = 3.5;
-    op.comm = kComm;
+    op.end_s = end;
+    op.comm = comm;
     op.seq = 0;
     op.name = "all_reduce";
     return op;
   };
-  ranks[0].ops.push_back(coll(1.0));
-  ranks[1].ops.push_back(coll(3.0));
-  ranks[2].ops.push_back(coll(2.0));
+  ranks[0].ops.push_back(coll(kWorld, 1.0, 3.5));
+  ranks[1].ops.push_back(coll(kWorld, 3.0, 3.5));
+  ranks[2].ops.push_back(coll(kWorld, 2.0, 3.5));
+  ranks[0].ops.push_back(coll(kPair, 4.0, 4.5));
+  ranks[2].ops.push_back(coll(kPair, 3.8, 4.5));
 
-  CritOp send;
-  send.kind = CritOp::Kind::kSend;
-  send.begin_s = 4.0;
-  send.end_s = 4.3;
-  send.seq = 0;
-  send.peer = 2;
-  send.name = "send";
-  ranks[0].ops.push_back(send);
-
-  CritOp recv;
-  recv.kind = CritOp::Kind::kRecv;
-  recv.begin_s = 3.8;
-  recv.end_s = 4.5;
-  recv.seq = 0;
-  recv.peer = 0;  // sender's world rank
-  recv.name = "recv";
-  ranks[2].ops.push_back(recv);
-
-  ranks[0].end_s = 4.4;
+  ranks[0].end_s = 4.6;
   ranks[1].end_s = 4.1;
   ranks[2].end_s = 5.0;  // the compute gaps are filled in automatically
   return CritGraph::from_timelines(std::move(ranks));
@@ -90,18 +78,18 @@ TEST(CritPath, HandBuiltDagYieldsTheExactCriticalPath) {
   EXPECT_DOUBLE_EQ(g.parallel_time_s(), 5.0);
 
   const auto path = g.critical_path();
-  ASSERT_EQ(path.size(), 6u);
+  ASSERT_EQ(path.size(), 5u);
 
   const struct {
     int rank;
     double begin, end;
     CritBucket bucket;
   } expected[] = {
-      {2, 4.5, 5.0, CritBucket::kCompute}, {2, 4.3, 4.5, CritBucket::kComm},
-      {0, 4.0, 4.3, CritBucket::kComm},    {0, 3.5, 4.0, CritBucket::kCompute},
-      {0, 3.0, 3.5, CritBucket::kComm},    {1, 0.0, 3.0, CritBucket::kCompute},
+      {2, 4.5, 5.0, CritBucket::kCompute}, {2, 4.0, 4.5, CritBucket::kComm},
+      {0, 3.5, 4.0, CritBucket::kCompute}, {0, 3.0, 3.5, CritBucket::kComm},
+      {1, 0.0, 3.0, CritBucket::kCompute},
   };
-  for (std::size_t i = 0; i < 6; ++i) {
+  for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(path[i].rank, expected[i].rank) << "segment " << i;
     EXPECT_DOUBLE_EQ(path[i].begin_s, expected[i].begin) << "segment " << i;
     EXPECT_DOUBLE_EQ(path[i].end_s, expected[i].end) << "segment " << i;
@@ -125,10 +113,11 @@ TEST(CritPath, ReplayReproducesAndProjectsTheHandBuiltDag) {
   // Baseline replay reproduces the recorded makespan.
   EXPECT_NEAR(g.replay({}), 5.0, 1e-12);
 
-  // Zero-cost communication, worked out by hand: the collective still
-  // synchronizes at t_max=3 (set by rank 1's compute), the send/recv pair
-  // becomes a free dependency edge, and rank 2 finishes its remaining
-  // 0.3 + 0.2(gap-free recv) ... final makespan 4.0.
+  // Zero-cost communication, worked out by hand: the world collective
+  // still synchronizes at t_max=3 (set by rank 1's compute) and now ends
+  // there.  Rank 0 reaches the pair collective at 3.5 and rank 2 at 3.3,
+  // so it ends at 3.5.  Then rank 0 computes to 3.6, rank 1 to 3.0 + 0.6
+  // = 3.6 and rank 2 to 3.5 + 0.5 = 4.0: the makespan.
   ReplayScales comm_free;
   comm_free.comm = 0.0;
   EXPECT_NEAR(g.replay(comm_free), 4.0, 1e-12);
@@ -138,8 +127,8 @@ TEST(CritPath, ReplayReproducesAndProjectsTheHandBuiltDag) {
   io_free.io = 0.0;
   EXPECT_NEAR(g.replay(io_free), 5.0, 1e-12);
 
-  // Busy time is pure compute here: r0 = 1+0.5+0.1, r1 = 3+0.6, r2 =
-  // 2+0.3+0.5.
+  // Busy time is pure compute here: r0 = 1+0.5+0.1 ([0,1], [3.5,4.0],
+  // [4.5,4.6]), r1 = 3+0.6, r2 = 2+0.3+0.5 ([0,2], [3.5,3.8], [4.5,5.0]).
   EXPECT_NEAR(g.rank_busy_s(0), 1.6, 1e-12);
   EXPECT_NEAR(g.rank_busy_s(1), 3.6, 1e-12);
   EXPECT_NEAR(g.rank_busy_s(2), 2.8, 1e-12);
