@@ -28,7 +28,8 @@
 // keeps the per-rank disks at a fixed path across process restarts, and
 // --checkpoint-every/--resume snapshot and restore the divide-and-conquer
 // state so a killed run finishes with the identical tree.  A run killed by
-// an unrecovered fault exits with status 3.
+// an unrecovered fault exits with status 3; a snapshot the run refuses to
+// resume (corrupt, or taken under other settings) exits with status 1.
 
 #include <cerrno>
 #include <cstdint>
@@ -504,6 +505,11 @@ int main(int argc, char** argv) {
                    "last snapshot\n");
     }
     return 3;
+  } catch (const std::exception& e) {
+    // A snapshot the run refuses to resume (corrupt, or taken under other
+    // settings) ends here rather than in std::terminate.
+    std::fprintf(stderr, "pclouds_cli: run failed: %s\n", e.what());
+    return 1;
   }
 
   const auto shape = clouds::shape_of(tree);
@@ -542,7 +548,12 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.save_path.empty()) {
-    clouds::save_tree(tree, opt.save_path);
+    try {
+      clouds::save_tree(tree, opt.save_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "pclouds_cli: %s\n", e.what());
+      return 1;
+    }
     std::printf("model saved : %s\n", opt.save_path.c_str());
   }
 

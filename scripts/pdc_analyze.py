@@ -1157,8 +1157,11 @@ WIRE_READ_PREFIXES = ("decode_", "get_", "take_")
 # Dotted accesses that are structure traversal, not wire fields.
 DOTTED_IGNORE = {"first", "second"}
 
+# A member call is not a field access, template arguments included
+# (`out.put_raw<std::uint64_t>(n)`).
 DOTTED_ACCESS_RE = re.compile(
-    r"\b([A-Za-z_]\w*)\s*\.\s*([A-Za-z_]\w*)\b(?!\s*\()")
+    r"\b([A-Za-z_]\w*)\s*\.\s*([A-Za-z_]\w*)\b"
+    r"(?!\s*(?:<[\w\s:,<>]*>\s*)?\()")
 
 RELOP_RE = re.compile(r"(?<![<>\-=])[<>]=?(?![<>])|[!=]=(?!=)")
 REJECT_RE = re.compile(

@@ -83,11 +83,12 @@ PDC008_ALLOWLIST = (
     "src/common/sync.hpp",
 )
 
-# The designated byte-transmutation helpers: mp::to_bytes/from_bytes are
-# the blessed primitive every codec is supposed to build on.  Every other
-# reinterpret_cast/memcpy in src/ must either migrate to them or carry an
-# allow(PDC010) with a reason, which makes
-# `grep -rn 'allow(PDC010)' src` the complete inventory of raw wire casts.
+# The designated byte-transmutation helpers: the mp::WireWriter/WireReader
+# cursor every codec is written with, and the mp::to_bytes/from_bytes
+# payload helpers of the collectives.  Every other reinterpret_cast/memcpy
+# in src/ is not wire bytes (an in-memory load or a byte inspection) and
+# carries an allow(PDC010) with a reason, which makes
+# `grep -rn 'allow(PDC010)' src` the complete inventory of raw casts.
 PDC010_ALLOWLIST = (
     "src/mp/serialize.hpp",
 )

@@ -2,7 +2,9 @@
 """Argument-handling tests for pclouds_cli: bad flags and malformed
 values must exit 2 with a message naming the offending flag on stderr,
 and a small good run must exit 0.  Both CLIs must exit 1, naming the path,
-when a --report document cannot be written (a full disk included).
+when a --report document or a saved model cannot be written (a full disk
+included), and pclouds_cli must exit 1 when it refuses to resume a
+snapshot.
 
 Usage: test_cli.py /path/to/pclouds_cli /path/to/pdc_serve_cli
 """
@@ -10,6 +12,7 @@ Usage: test_cli.py /path/to/pclouds_cli /path/to/pdc_serve_cli
 import os
 import subprocess
 import sys
+import tempfile
 import unittest
 
 CLI = None
@@ -84,8 +87,9 @@ class AcceptsGoodArguments(unittest.TestCase):
 
 @unittest.skipUnless(os.path.exists("/dev/full"), "/dev/full not available")
 class ReportsALostDocument(unittest.TestCase):
-    """A document smaller than the stdio buffer fails only at fclose; the
-    CLI must not print the path and exit 0 as if it were written."""
+    """A document or model smaller than the stdio buffer fails only at
+    fclose; the CLI must not print the path and exit 0 as if it were
+    written."""
 
     def check_fails_naming_path(self, argv):
         r = subprocess.run(argv, capture_output=True, text=True, timeout=120)
@@ -100,6 +104,30 @@ class ReportsALostDocument(unittest.TestCase):
         self.check_fails_naming_path(
             [SERVE_CLI, "--requests", "8", "--train-records", "2000",
              "--report", "/dev/full"])
+
+    def test_pclouds_cli_model_on_a_full_disk_exits_1(self):
+        self.check_fails_naming_path([CLI, *GOOD_ARGS, "--save", "/dev/full"])
+
+    def test_pdc_serve_cli_model_on_a_full_disk_exits_1(self):
+        self.check_fails_naming_path(
+            [SERVE_CLI, "--requests", "8", "--train-records", "2000",
+             "--save-model", "/dev/full"])
+
+
+class RefusesASnapshotItCannotResume(unittest.TestCase):
+    """A resume the snapshot refuses exits 1 with the reason, not abort."""
+
+    def test_resume_under_another_vote_k_exits_1(self):
+        with tempfile.TemporaryDirectory() as scratch:
+            common = ["--procs", "4", "--records", "8000", "--combiner",
+                      "voting", "--scratch", scratch, "--checkpoint-every",
+                      "2"]
+            killed = run(*common, "--vote-k", "2", "--inject",
+                         "comm_coll:op=120")
+            self.assertEqual(killed.returncode, 3, killed.stderr)
+            r = run(*common, "--vote-k", "3", "--resume")
+            self.assertEqual(r.returncode, 1, r.stderr)
+            self.assertIn("different combiner configuration", r.stderr)
 
 
 if __name__ == "__main__":

@@ -21,8 +21,18 @@ FIXTURES = os.path.join(pdc_analyze.REPO_ROOT, "tests",
                         "analyzer_fixtures")
 
 
+CURSOR = os.path.join(pdc_analyze.REPO_ROOT, "src", "mp", "serialize.hpp")
+
+
 def analyze_fixture(*names):
+    """Analyzes the named fixtures; one that includes the wire cursor is
+    analyzed together with it, so the cursor's get_ readers seed PDA510."""
     paths = [os.path.join(FIXTURES, n) for n in names]
+    for path in list(paths):
+        with open(path, encoding="utf-8") as f:
+            if '#include "mp/serialize.hpp"' in f.read() and \
+                    CURSOR not in paths:
+                paths.append(CURSOR)
     return pdc_analyze.analyze(paths, "ast-lite", "build")
 
 
@@ -267,7 +277,7 @@ class UntrustedFlows(unittest.TestCase):
         self.assertEqual(
             {f["function"] for f in flows},
             {"parse_values", "parse_table", "parse_floats", "parse_port",
-             "parse_blob", "parse_pick", "parse_sum"})
+             "parse_blob", "parse_pick", "parse_sum", "parse_cursor_raw"})
 
     def test_repo_has_no_untrusted_flows(self):
         src = os.path.join(pdc_analyze.REPO_ROOT, "src")

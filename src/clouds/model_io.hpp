@@ -1,46 +1,32 @@
 #pragma once
 
 // Decision-tree model persistence: a versioned binary format so trained
-// classifiers can be saved, shipped and reloaded (TreeNode is trivially
-// copyable and layout-checked, making the serialization a header plus the
-// raw node arena).
+// classifiers can be saved, shipped and reloaded.  A pdcT file is the u32
+// magic, the u32 version, then the node arena as a counted array (TreeNode
+// is trivially copyable and layout-checked).
 
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <stdexcept>
 
 #include "clouds/tree.hpp"
-#include "common/wire.hpp"
+#include "mp/serialize.hpp"
+#include "obs/json.hpp"
 
 namespace pdc::clouds {
 
 namespace detail {
 inline constexpr std::uint32_t kTreeMagic = 0x70646354;  // "pdcT"
 inline constexpr std::uint32_t kTreeVersion = 1;
-
-struct TreeHeader {
-  std::uint32_t magic = kTreeMagic;
-  std::uint32_t version = kTreeVersion;
-  std::uint64_t node_count = 0;
-};
 }  // namespace detail
 
 inline void save_tree(const DecisionTree& tree,
                       const std::filesystem::path& path) {
-  // pdc: io-wrapper(model persistence at the run boundary, outside the modeled timeline)
-  const auto nodes = tree.serialize();
-  detail::TreeHeader header;
-  header.node_count = nodes.size();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw std::runtime_error("save_tree: cannot create " + path.string());
-  const bool ok =
-      std::fwrite(&header, sizeof(header), 1, f) == 1 &&
-      (nodes.empty() ||
-       std::fwrite(nodes.data(), sizeof(TreeNode), nodes.size(), f) ==
-           nodes.size());
-  std::fclose(f);
-  if (!ok) throw std::runtime_error("save_tree: short write " + path.string());
+  mp::WireWriter out;
+  out.put_raw(detail::kTreeMagic);
+  out.put_raw(detail::kTreeVersion);
+  out.put_array(tree.serialize());
+  obs::write_bytes_file(path.string(), out.take());
 }
 
 /// Reads a model file's leading magic (0 on a missing/short file), so
@@ -57,40 +43,14 @@ inline std::uint32_t peek_model_magic(const std::filesystem::path& path) {
 }
 
 inline DecisionTree load_tree(const std::filesystem::path& path) {
-  // pdc: io-wrapper(model persistence at the run boundary, outside the modeled timeline)
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw WireError("load_tree: cannot open " + path.string());
-  detail::TreeHeader header;
-  if (std::fread(&header, sizeof(header), 1, f) != 1) {
-    std::fclose(f);
-    throw WireError("load_tree: truncated header " + path.string());
+  const auto bytes = obs::read_bytes_file(path.string());
+  mp::WireReader in(bytes, "load_tree " + path.string());
+  if (in.get_raw<std::uint32_t>() != detail::kTreeMagic ||
+      in.get_raw<std::uint32_t>() != detail::kTreeVersion) {
+    in.reject("bad magic/version");
   }
-  if (header.magic != detail::kTreeMagic ||
-      header.version != detail::kTreeVersion) {
-    std::fclose(f);
-    throw WireError("load_tree: bad magic/version " + path.string());
-  }
-  // Size the claim against the actual file before allocating: a corrupt
-  // node_count must not turn into a multi-gigabyte allocation attempt.
-  const long payload_start = std::ftell(f);
-  std::fseek(f, 0, SEEK_END);
-  const long file_end = std::ftell(f);
-  std::fseek(f, payload_start, SEEK_SET);
-  const auto payload =
-      static_cast<std::uint64_t>(file_end - payload_start);
-  if (header.node_count > payload / sizeof(TreeNode)) {
-    std::fclose(f);
-    throw WireError("load_tree: node count overruns the file " +
-                    path.string());
-  }
-  std::vector<TreeNode> nodes(header.node_count);
-  if (header.node_count != 0 &&
-      std::fread(nodes.data(), sizeof(TreeNode), nodes.size(), f) !=
-          nodes.size()) {
-    std::fclose(f);
-    throw WireError("load_tree: truncated nodes " + path.string());
-  }
-  std::fclose(f);
+  auto nodes = in.get_array<TreeNode>();
+  in.finish();
   return DecisionTree::deserialize(std::move(nodes));
 }
 

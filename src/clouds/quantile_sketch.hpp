@@ -17,11 +17,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <span>
 #include <vector>
 
-#include "common/wire.hpp"
+#include "mp/serialize.hpp"
 
 namespace pdc::clouds {
 
@@ -88,59 +86,32 @@ class QuantileSketch {
   }
 
   /// Wire format: [k][count][nlevels][{size, values...} per level]
-  /// [ncompactions][offsets...], u64 headers and raw float payloads.
+  /// [ncompactions][offsets...], u64 counts and raw float payloads.
   /// The compaction parities travel with the levels: a resumed sketch
   /// must continue the alternating-offset sequence where the original
   /// stopped, or the first post-resume compaction diverges from an
   /// uninterrupted run and the ranks stop agreeing on boundaries.
   std::vector<std::byte> serialize() const {
-    std::vector<std::byte> out;
-    append_u64(out, k_);
-    append_u64(out, count_);
-    append_u64(out, levels_.size());
-    for (const auto& lvl : levels_) {
-      append_u64(out, lvl.size());
-      const auto* bytes = reinterpret_cast<const std::byte*>(lvl.data());  // pdc-lint: allow(PDC010) -- float payload onto the wire; layout documented above
-      out.insert(out.end(), bytes, bytes + lvl.size() * sizeof(float));
-    }
-    append_u64(out, compactions_.size());
-    for (const std::uint64_t c : compactions_) append_u64(out, c);
-    return out;
+    mp::WireWriter out;
+    out.put_raw<std::uint64_t>(k_);
+    out.put_raw<std::uint64_t>(count_);
+    out.put_raw<std::uint64_t>(levels_.size());
+    for (const auto& lvl : levels_) out.put_array(lvl);
+    out.put_array(compactions_);
+    return out.take();
   }
 
-  /// Inverse of serialize(); advances `offset` past the consumed bytes.
-  /// Throws pdc::WireError on truncated input or an implausible count.
-  static QuantileSketch deserialize(std::span<const std::byte> bytes,
-                                    std::size_t& offset) {
+  /// Inverse of serialize(): reads one sketch from `in`, leaving it
+  /// positioned after the sketch.  Throws pdc::WireError on truncated
+  /// input or an implausible count.
+  static QuantileSketch deserialize(mp::WireReader& in) {
     QuantileSketch s;
-    s.k_ = std::max<std::size_t>(take_u64(bytes, offset),
-                                 std::size_t{8});
-    s.count_ = take_u64(bytes, offset);
-    const auto nlevels = take_u64(bytes, offset);
-    // Each level costs at least its u64 size header, so a count beyond
-    // the remaining bytes / 8 cannot be honest.
-    if (nlevels > (bytes.size() - offset) / sizeof(std::uint64_t)) {
-      throw WireError("QuantileSketch: implausible level count");
-    }
-    s.levels_.resize(nlevels);
-    for (auto& lvl : s.levels_) {
-      const auto n = take_u64(bytes, offset);
-      if (n > (bytes.size() - offset) / sizeof(float)) {
-        throw WireError("QuantileSketch: level overruns the buffer");
-      }
-      lvl.resize(n);
-      // An empty level's data() may be null, which memcpy must not get.
-      if (n != 0) {
-        std::memcpy(lvl.data(), bytes.data() + offset, n * sizeof(float));  // pdc-lint: allow(PDC010) -- float payload off the wire; n bounds-checked above
-      }
-      offset += n * sizeof(float);
-    }
-    const auto ncomp = take_u64(bytes, offset);
-    if (ncomp > (bytes.size() - offset) / sizeof(std::uint64_t)) {
-      throw WireError("QuantileSketch: compaction list overruns buffer");
-    }
-    s.compactions_.resize(ncomp);
-    for (auto& c : s.compactions_) c = take_u64(bytes, offset);
+    s.k_ = std::max<std::size_t>(in.get_raw<std::uint64_t>(), std::size_t{8});
+    s.count_ = in.get_raw<std::uint64_t>();
+    // Each level costs at least its u64 size.
+    s.levels_.resize(in.count(sizeof(std::uint64_t)));
+    for (auto& lvl : s.levels_) lvl = in.get_array<float>();
+    s.compactions_ = in.get_array<std::uint64_t>();
     return s;
   }
 
@@ -182,22 +153,6 @@ class QuantileSketch {
     }
     std::sort(items.begin(), items.end());
     return items;
-  }
-
-  static void append_u64(std::vector<std::byte>& out, std::uint64_t v) {
-    const auto* bytes = reinterpret_cast<const std::byte*>(&v);  // pdc-lint: allow(PDC010) -- u64 header onto the wire, native endianness by contract
-    out.insert(out.end(), bytes, bytes + sizeof(v));
-  }
-
-  static std::uint64_t take_u64(std::span<const std::byte> bytes,
-                                std::size_t& offset) {
-    std::uint64_t v;
-    if (offset > bytes.size() || bytes.size() - offset < sizeof(v)) {
-      throw WireError("QuantileSketch: truncated header read");
-    }
-    std::memcpy(&v, bytes.data() + offset, sizeof(v));  // pdc-lint: allow(PDC010) -- u64 header off the wire; bounds-checked above
-    offset += sizeof(v);
-    return v;
   }
 
   std::size_t k_;

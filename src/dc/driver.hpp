@@ -27,14 +27,13 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/wire.hpp"
 #include "dc/lpt.hpp"
 #include "dc/problem.hpp"
 #include "fault/checkpoint.hpp"
@@ -42,6 +41,7 @@
 #include "io/memory_budget.hpp"
 #include "io/pipeline.hpp"
 #include "mp/comm.hpp"
+#include "mp/serialize.hpp"
 #include "obs/trace.hpp"
 
 namespace pdc::dc {
@@ -138,6 +138,13 @@ class DcDriver {
     return comm.all_reduce<std::uint64_t>(local);
   }
 
+  /// The data file of a task that partition() created.  Every task a
+  /// snapshot holds is one of these (the root is dequeued before the first
+  /// snapshot), so the snapshot carries ids, never file names.
+  static std::string task_file(std::int64_t id) {
+    return "dc_" + std::to_string(id);
+  }
+
   void drop_file(const Pending& p, const std::string& root_file) {
     if (p.file != root_file || !cfg_.preserve_root_file) {
       disk_->remove(p.file);
@@ -169,8 +176,8 @@ class DcDriver {
     auto sp = obs::SpanGuard(comm.tracer(), "partition-pass", "dc");
     Pending left;
     Pending right;
-    left.file = "dc_" + std::to_string(next_id_);
-    right.file = "dc_" + std::to_string(next_id_ + 1);
+    left.file = task_file(next_id_);
+    right.file = task_file(next_id_ + 1);
     std::uint64_t ln = 0;
     std::uint64_t rn = 0;
     {
@@ -226,7 +233,8 @@ class DcDriver {
 
     std::deque<Pending> queue;
     std::vector<Pending> small;
-    if (!cfg_.resume || !try_restore(comm, problem, queue, small)) {
+    if (!cfg_.resume ||
+        !try_restore(comm, problem, root.task.global_n, queue, small)) {
       queue.push_back(std::move(root));
     }
     std::uint64_t since_ckpt = 0;
@@ -494,8 +502,10 @@ class DcDriver {
 
     std::vector<std::size_t> cursor(p, 0);  // per-source payload offset
     for (std::size_t k = 0; k < mine.size(); ++k) {
+      std::uint64_t arrived = 0;
+      for (std::size_t src = 0; src < p; ++src) arrived += in_meta[src][k];
       std::vector<T> data;
-      data.reserve(small[mine[k]].task.global_n);
+      data.reserve(arrived);
       for (std::size_t src = 0; src < p; ++src) {
         const std::uint64_t n = in_meta[src][k];
         data.insert(data.end(),
@@ -511,56 +521,45 @@ class DcDriver {
 
   // --------------------------------------------- checkpoint / restart ---
 
-  template <class V>
-  static void append_raw(std::vector<std::byte>& out, const V& v) {
-    static_assert(std::is_trivially_copyable_v<V>);
-    const auto at = out.size();
-    out.resize(at + sizeof(V));
-    std::memcpy(out.data() + at, &v, sizeof(V));  // pdc-lint: allow(PDC010) -- trivially-copyable value onto the checkpoint wire
-  }
-
-  template <class V>
-  static V take_raw(std::span<const std::byte> in, std::size_t& at) {
-    static_assert(std::is_trivially_copyable_v<V>);
-    if (at > in.size() || in.size() - at < sizeof(V)) {
-      throw WireError("DcDriver: truncated checkpoint state");
-    }
-    V v;
-    std::memcpy(&v, in.data() + at, sizeof(V));  // pdc-lint: allow(PDC010) -- trivially-copyable value off the wire; bounds-checked above
-    at += sizeof(V);
-    return v;
-  }
-
   /// Snapshot this rank's view of the loop: driver counters, the problem's
   /// partial result, both pending queues, and the raw contents of every
   /// pending task's data file (the live files keep changing after the
-  /// snapshot, so the snapshot must carry its own copies).  Purely local —
-  /// no collective — because every rank reaches this point at the same
-  /// iteration with the same version counter.
+  /// snapshot, so the snapshot must carry its own copies).  The state blob
+  /// is the next task id, the report counters, then the queued and the
+  /// small tasks as counted lists of Task.  Purely local — no collective —
+  /// because every rank reaches this point at the same iteration with the
+  /// same version counter.
   void write_checkpoint(mp::Comm& comm, DcProblem<T>& problem,
                         const std::deque<Pending>& queue,
                         const std::vector<Pending>& small) {
     auto sp = obs::SpanGuard(comm.tracer(), "checkpoint-write", "fault");
     std::vector<fault::CheckpointBlob> blobs;
-    std::vector<std::byte> state;
-    append_raw(state, next_id_);
-    append_raw(state, report_);
-    append_raw(state, static_cast<std::uint64_t>(queue.size()));
-    append_raw(state, static_cast<std::uint64_t>(small.size()));
-    std::size_t idx = 0;
-    auto add_entry = [&](const Pending& p) {
-      append_raw(state, p.task);
-      append_raw(state, static_cast<std::uint64_t>(p.file.size()));
-      const auto at = state.size();
-      state.resize(at + p.file.size());
-      std::memcpy(state.data() + at, p.file.data(), p.file.size());  // pdc-lint: allow(PDC010) -- file-name bytes onto the wire, length framed above
-      blobs.push_back({"task_" + std::to_string(idx++),
-                       disk_->read_file<std::byte>(p.file)});
+    mp::WireWriter state;
+    state.put_raw(next_id_);
+    state.put_raw<std::uint64_t>(report_.large_tasks);
+    state.put_raw<std::uint64_t>(report_.small_tasks);
+    state.put_raw<std::uint64_t>(report_.leaves);
+    state.put_raw<std::uint64_t>(report_.levels);
+    state.put_raw(report_.small_balance);
+    state.put_raw(report_.records_redistributed);
+    state.put_raw<std::uint64_t>(report_.checkpoints);
+    const auto put_tasks = [&](const auto& pending) {
+      state.put_raw<std::uint64_t>(pending.size());
+      for (const Pending& p : pending) {
+        if (p.file != task_file(p.task.id)) {
+          throw std::logic_error("DcDriver: task " +
+                                 std::to_string(p.task.id) + " lives in " +
+                                 p.file + ", not " + task_file(p.task.id));
+        }
+        state.put_raw(p.task);
+        blobs.push_back({"task_" + std::to_string(blobs.size()),
+                         disk_->read_file<std::byte>(p.file)});
+      }
     };
-    for (const auto& p : queue) add_entry(p);
-    for (const auto& p : small) add_entry(p);
+    put_tasks(queue);
+    put_tasks(small);
     blobs.push_back({"problem", problem.export_state()});
-    blobs.push_back({"state", std::move(state)});
+    blobs.push_back({"state", state.take()});
 
     fault::CheckpointStore store(*disk_);
     store.write(ckpt_version_, blobs);
@@ -576,7 +575,8 @@ class DcDriver {
   /// maximum — so a crash that left some ranks one version ahead (or with
   /// a torn snapshot) still resolves to a consistent cut.
   bool try_restore(mp::Comm& comm, DcProblem<T>& problem,
-                   std::deque<Pending>& queue, std::vector<Pending>& small) {
+                   std::uint64_t root_n, std::deque<Pending>& queue,
+                   std::vector<Pending>& small) {
     auto sp = obs::SpanGuard(comm.tracer(), "checkpoint-restore", "fault");
     fault::CheckpointStore store(*disk_);
     const auto mine = store.valid_versions();
@@ -594,36 +594,40 @@ class DcDriver {
     const std::uint64_t v = *common.rbegin();
 
     const auto state = store.read_blob(v, "state");
-    std::size_t at = 0;
-    next_id_ = take_raw<std::int64_t>(state, at);
-    report_ = take_raw<DcReport>(state, at);
-    const auto n_queue = take_raw<std::uint64_t>(state, at);
-    const auto n_small = take_raw<std::uint64_t>(state, at);
-    // Every pending entry costs at least a Task plus a u64 name length on
-    // the wire; counts the remaining bytes cannot hold are corrupt.
-    const std::size_t entry_floor = sizeof(Task) + sizeof(std::uint64_t);
-    if (n_queue > (state.size() - at) / entry_floor ||
-        n_small > (state.size() - at) / entry_floor) {
-      throw WireError("DcDriver: pending count overruns checkpoint state");
-    }
+    mp::WireReader in(state, "DcDriver state");
+    next_id_ = in.get_raw<std::int64_t>();
+    report_.large_tasks = in.get_raw<std::uint64_t>();
+    report_.small_tasks = in.get_raw<std::uint64_t>();
+    report_.leaves = in.get_raw<std::uint64_t>();
+    report_.levels = in.get_raw<std::uint64_t>();
+    report_.small_balance = in.get_raw<double>();
+    report_.records_redistributed = in.get_raw<std::uint64_t>();
+    report_.checkpoints = in.get_raw<std::uint64_t>();
     std::size_t idx = 0;
-    auto take_entry = [&]() {
-      Pending p;
-      p.task = take_raw<Task>(state, at);
-      const auto len = take_raw<std::uint64_t>(state, at);
-      if (state.size() - at < len) {
-        throw WireError("DcDriver: truncated checkpoint state");
+    const auto take_tasks = [&](auto& pending) {
+      const auto n = in.count(sizeof(Task));
+      for (std::size_t i = 0; i < n; ++i) {
+        Pending p;
+        p.task = in.get_raw<Task>();
+        // A task partition() made: not the root, an id handed out before
+        // the snapshot, no deeper than its id, no larger than the root.
+        if (p.task.id <= 0 || p.task.id >= next_id_ || p.task.parent < 0 ||
+            p.task.parent >= p.task.id || p.task.depth <= 0 ||
+            p.task.depth > p.task.id ||
+            (p.task.child_index != 0 && p.task.child_index != 1) ||
+            p.task.global_n > root_n) {
+          in.reject("task " + std::to_string(p.task.id) +
+                    " is not one partition() could have made");
+        }
+        p.file = task_file(p.task.id);
+        disk_->write_file<std::byte>(
+            p.file, store.read_blob(v, "task_" + std::to_string(idx++)));
+        pending.push_back(std::move(p));
       }
-      p.file.assign(reinterpret_cast<const char*>(state.data() + at),  // pdc-lint: allow(PDC010) -- file-name bytes off the wire; len bounds-checked above
-                    static_cast<std::size_t>(len));
-      at += len;
-      const auto content =
-          store.read_blob(v, "task_" + std::to_string(idx++));
-      disk_->write_file<std::byte>(p.file, content);
-      return p;
     };
-    for (std::uint64_t i = 0; i < n_queue; ++i) queue.push_back(take_entry());
-    for (std::uint64_t i = 0; i < n_small; ++i) small.push_back(take_entry());
+    take_tasks(queue);
+    take_tasks(small);
+    in.finish();
     problem.restore_state(store.read_blob(v, "problem"));
 
     // The next snapshot overwrites anything past the agreed cut (a rank
@@ -638,41 +642,24 @@ class DcDriver {
 
   static std::vector<std::byte> frame_blobs(
       const std::vector<std::vector<std::byte>>& blobs) {
-    std::vector<std::uint64_t> sizes;
-    sizes.reserve(blobs.size());
-    std::size_t total = 0;
-    for (const auto& b : blobs) {
-      sizes.push_back(b.size());
-      total += b.size();
-    }
-    std::vector<std::byte> out;
-    out.reserve(sizes.size() * sizeof(std::uint64_t) + total);
-    const auto header = mp::to_bytes(std::span<const std::uint64_t>(sizes));
-    out.insert(out.end(), header.begin(), header.end());
-    for (const auto& b : blobs) out.insert(out.end(), b.begin(), b.end());
-    return out;
+    mp::WireWriter out;
+    for (const auto& b : blobs) out.put_raw<std::uint64_t>(b.size());
+    for (const auto& b : blobs) out.put_bytes(b);
+    return out.take();
   }
 
   static std::vector<std::vector<std::byte>> unframe_blobs(
       const std::vector<std::byte>& frame, std::size_t count) {
-    if (frame.size() < count * sizeof(std::uint64_t)) {
-      throw WireError("DcDriver: frame too short for its size header");
+    mp::WireReader in(frame, "DcDriver frame");
+    std::vector<std::uint64_t> sizes(count);
+    for (auto& size : sizes) size = in.get_raw<std::uint64_t>();
+    std::vector<std::vector<std::byte>> out;
+    out.reserve(count);
+    for (const auto size : sizes) {
+      const auto bytes = in.get_bytes(size);
+      out.emplace_back(bytes.begin(), bytes.end());
     }
-    std::vector<std::vector<std::byte>> out(count);
-    const auto sizes = mp::from_bytes<std::uint64_t>(std::span(
-        frame.data(), count * sizeof(std::uint64_t)));
-    std::size_t off = count * sizeof(std::uint64_t);
-    for (std::size_t i = 0; i < count; ++i) {
-      // Each framed size must fit in what is left of the payload before it
-      // drives the copy below.
-      if (sizes[i] > frame.size() - off) {
-        throw WireError("DcDriver: framed blob overruns the payload");
-      }
-      out[i].assign(frame.begin() + static_cast<std::ptrdiff_t>(off),
-                    frame.begin() +
-                        static_cast<std::ptrdiff_t>(off + sizes[i]));
-      off += sizes[i];
-    }
+    in.finish();
     return out;
   }
 

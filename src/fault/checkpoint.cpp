@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstring>
 #include <set>
+
+#include "common/wire.hpp"
+#include "mp/serialize.hpp"
 
 namespace pdc::fault {
 
@@ -12,20 +14,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kMagic[8] = {'p', 'd', 'c', 'C', 'k', 'p', 't', '1'};
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  const auto at = out.size();
-  out.resize(at + sizeof(v));
-  std::memcpy(out.data() + at, &v, sizeof(v));  // pdc-lint: allow(PDC010) -- u64 header onto the manifest wire
-}
-
-bool get_u64(std::span<const std::byte> in, std::size_t& offset,
-             std::uint64_t& v) {
-  if (offset > in.size() || in.size() - offset < sizeof(v)) return false;
-  std::memcpy(&v, in.data() + offset, sizeof(v));  // pdc-lint: allow(PDC010) -- u64 header off the manifest wire; bounds-checked above
-  offset += sizeof(v);
-  return true;
-}
 
 }  // namespace
 
@@ -59,23 +47,18 @@ void CheckpointStore::write(std::uint64_t version,
   const auto stale = manifest_of(version);
   if (disk_->exists(stale)) disk_->remove(stale);
 
-  std::vector<std::byte> manifest;
-  manifest.insert(manifest.end(),
-                  reinterpret_cast<const std::byte*>(kMagic),  // pdc-lint: allow(PDC010) -- magic literal onto the wire
-                  reinterpret_cast<const std::byte*>(kMagic) + sizeof(kMagic));  // pdc-lint: allow(PDC010) -- magic literal onto the wire
-  put_u64(manifest, version);
-  put_u64(manifest, blobs.size());
+  mp::WireWriter manifest;
+  manifest.put_bytes(std::as_bytes(std::span(kMagic)));
+  manifest.put_raw<std::uint64_t>(version);
+  manifest.put_raw<std::uint64_t>(blobs.size());
   for (const auto& blob : blobs) {
     disk_->write_file<std::byte>(file_of(version, blob.name), blob.bytes);
-    put_u64(manifest, blob.name.size());
-    const auto at = manifest.size();
-    manifest.resize(at + blob.name.size());
-    std::memcpy(manifest.data() + at, blob.name.data(), blob.name.size());  // pdc-lint: allow(PDC010) -- blob name bytes onto the wire
-    put_u64(manifest, blob.bytes.size());
-    put_u64(manifest, fnv1a64(blob.bytes));
+    manifest.put_string(blob.name);
+    manifest.put_raw<std::uint64_t>(blob.bytes.size());
+    manifest.put_raw(fnv1a64(blob.bytes));
   }
-  put_u64(manifest, fnv1a64(manifest));
-  disk_->write_file<std::byte>(manifest_of(version), manifest);
+  manifest.put_raw(fnv1a64(manifest.bytes()));
+  disk_->write_file<std::byte>(manifest_of(version), manifest.take());
 }
 
 std::optional<std::vector<CheckpointStore::ManifestEntry>>
@@ -83,49 +66,32 @@ CheckpointStore::load_manifest(std::uint64_t version) {
   const auto name = manifest_of(version);
   if (!disk_->exists(name)) return std::nullopt;
   const auto raw = disk_->read_file<std::byte>(name);
-  if (raw.size() < sizeof(kMagic) + 3 * sizeof(std::uint64_t)) {
-    return std::nullopt;
-  }
-  if (std::memcmp(raw.data(), kMagic, sizeof(kMagic)) != 0) {
-    return std::nullopt;
-  }
+  if (raw.size() < sizeof(std::uint64_t)) return std::nullopt;
   // Self-checksum over everything before the trailing hash (guards against
   // the manifest write itself having torn).
-  const std::span body(raw.data(), raw.size() - sizeof(std::uint64_t));
-  std::uint64_t self = 0;
-  {
-    std::size_t at = raw.size() - sizeof(std::uint64_t);
-    if (!get_u64(raw, at, self)) return std::nullopt;
-  }
-  if (fnv1a64(body) != self) return std::nullopt;
-
-  std::size_t at = sizeof(kMagic);
-  std::uint64_t stored_version = 0;
-  std::uint64_t count = 0;
-  if (!get_u64(raw, at, stored_version) || stored_version != version) {
-    return std::nullopt;
-  }
-  if (!get_u64(raw, at, count)) return std::nullopt;
-  // Every entry costs at least three u64s on the wire, so a count beyond
-  // the remaining bytes / 24 is corrupt — reject it before reserving.
-  if (count > (raw.size() - at) / (3 * sizeof(std::uint64_t))) {
+  const auto body = std::span(raw).first(raw.size() - sizeof(std::uint64_t));
+  if (fnv1a64(body) != mp::value_from_bytes<std::uint64_t>(
+                           std::span(raw).last(sizeof(std::uint64_t)))) {
     return std::nullopt;
   }
   std::vector<ManifestEntry> entries;
-  entries.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t name_len = 0;
-    if (!get_u64(raw, at, name_len) || raw.size() - at < name_len) {
+  try {
+    mp::WireReader in(body, "checkpoint manifest");
+    if (!std::ranges::equal(in.get_bytes(sizeof(kMagic)),
+                            std::as_bytes(std::span(kMagic))) ||
+        in.get_raw<std::uint64_t>() != version) {
       return std::nullopt;
     }
-    ManifestEntry e;
-    e.name.assign(reinterpret_cast<const char*>(raw.data() + at),  // pdc-lint: allow(PDC010) -- blob name bytes off the wire; name_len bounds-checked above
-                  static_cast<std::size_t>(name_len));
-    at += name_len;
-    if (!get_u64(raw, at, e.bytes) || !get_u64(raw, at, e.checksum)) {
-      return std::nullopt;
+    // Every entry costs at least three u64s on the wire.
+    entries.resize(in.count(3 * sizeof(std::uint64_t)));
+    for (auto& e : entries) {
+      e.name = in.get_string();
+      e.bytes = in.get_raw<std::uint64_t>();
+      e.checksum = in.get_raw<std::uint64_t>();
     }
-    entries.push_back(std::move(e));
+    in.finish();
+  } catch (const WireError&) {
+    return std::nullopt;
   }
 
   // A snapshot vouches for its blobs: every one must exist with matching

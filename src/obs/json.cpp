@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <stdexcept>
 
 namespace pdc::obs {
@@ -185,20 +186,61 @@ std::string Json::dump() const {
   return "null";
 }
 
-void write_json_file(const std::string& path, std::string_view json,
-                     bool append) {
-  // pdc: io-wrapper(observer export after the modeled run; never on the modeled timeline)
-  std::FILE* f = std::fopen(path.c_str(), append ? "ab" : "wb");
+namespace {
+
+/// The one checked writer: opens `path` with `mode` and writes `parts` in
+/// order.  A full disk often surfaces only when fclose flushes the buffer,
+/// so that is checked too.
+void write_parts(const std::string& path, const char* mode,
+                 std::initializer_list<std::span<const std::byte>> parts) {
+  // pdc: io-wrapper(artifact and model export after the modeled run; never on the modeled timeline)
+  std::FILE* f = std::fopen(path.c_str(), mode);
   if (f) {
-    const bool written =
-        std::fwrite(json.data(), 1, json.size(), f) == json.size() &&
-        std::fputc('\n', f) == '\n';
+    bool written = true;
+    for (const auto part : parts) {
+      written = written &&
+                std::fwrite(part.data(), 1, part.size(), f) == part.size();
+    }
     const int write_errno = errno;
     if (std::fclose(f) == 0 && written) return;
     if (!written) errno = write_errno;
   }
   throw std::runtime_error("cannot write " + path + ": " +
                            std::strerror(errno));
+}
+
+}  // namespace
+
+void write_json_file(const std::string& path, std::string_view json,
+                     bool append) {
+  static constexpr char kNewline[] = {'\n'};
+  write_parts(path, append ? "ab" : "wb",
+              {std::as_bytes(std::span(json)),
+               std::as_bytes(std::span(kNewline))});
+}
+
+void write_bytes_file(const std::string& path,
+                      std::span<const std::byte> bytes) {
+  write_parts(path, "wb", {bytes});
+}
+
+std::vector<std::byte> read_bytes_file(const std::string& path) {
+  // pdc: io-wrapper(model load at the run boundary, outside the modeled timeline)
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) {
+    throw std::runtime_error("cannot read " + path + ": " +
+                             std::strerror(errno));
+  }
+  std::vector<std::byte> out;
+  std::byte chunk[1 << 16];
+  std::size_t got = 0;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    out.insert(out.end(), chunk, chunk + got);
+  }
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed) throw std::runtime_error("cannot read " + path);
+  return out;
 }
 
 namespace {

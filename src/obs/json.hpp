@@ -1,15 +1,18 @@
 #pragma once
 
 // Minimal JSON: a value tree, a recursive-descent parser, and the one file
-// writer every artifact goes through.  Scope is deliberately small — enough
-// to emit and round-trip the documents this repository produces (run
-// reports, profiles, Chrome traces, serve and drift reports, bench rows)
-// and to let tests assert their structure.  Numbers are parsed as double;
-// emitters format doubles with %.17g so they survive a parse/serialize
-// cycle exactly, and print 64-bit ids and counts from make_uint exactly (a
-// double rounds them above 2^53).  dump() is compact: no whitespace.
+// writer every artifact and saved model goes through.  Scope is
+// deliberately small — enough to emit and round-trip the documents this
+// repository produces (run reports, profiles, Chrome traces, serve and
+// drift reports, bench rows) and to let tests assert their structure.
+// Numbers are parsed as double; emitters format doubles with %.17g so they
+// survive a parse/serialize cycle exactly, and print 64-bit ids and counts
+// from make_uint exactly (a double rounds them above 2^53).  dump() is
+// compact: no whitespace.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -74,11 +77,20 @@ class Json {
 };
 
 /// Writes `json` and a newline to `path`, replacing the file, or adding
-/// one line to it when `append` is set (JSONL bench rows).  The one writer
-/// for every document and row: throws std::runtime_error naming `path`
-/// when the file cannot be opened, written or closed — a full disk often
-/// surfaces only when fclose flushes the buffer.
+/// one line to it when `append` is set (JSONL bench rows).  Every document,
+/// row and saved model goes through one checked writer, which throws
+/// std::runtime_error naming `path` when the file cannot be opened, written
+/// or closed — a full disk often surfaces only when fclose flushes the
+/// buffer.
 void write_json_file(const std::string& path, std::string_view json,
                      bool append = false);
+
+/// Replaces `path` with `bytes` through the same checked writer.
+void write_bytes_file(const std::string& path,
+                      std::span<const std::byte> bytes);
+
+/// All of `path`'s bytes; throws std::runtime_error naming `path` when the
+/// file cannot be opened or read.
+std::vector<std::byte> read_bytes_file(const std::string& path);
 
 }  // namespace pdc::obs

@@ -1,10 +1,9 @@
 #include "pclouds/problem.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
-#include "common/wire.hpp"
+#include "mp/serialize.hpp"
 #include "pclouds/alive.hpp"
 #include "pclouds/combiners.hpp"
 #include "pclouds/stats_codec.hpp"
@@ -56,13 +55,10 @@ CloudsProblem::TaskCtx& CloudsProblem::ctx_of(const dc::Task& task) {
 std::vector<std::byte> CloudsProblem::encode_sketch_blob(
     const TaskCtx& ctx) const {
   // [ClassCounts][sketch * kNumNumeric]
-  std::vector<std::byte> out =
-      mp::to_bytes<data::ClassCounts>(ctx.local.counts);  // pdc: nonwire(local is the stats holder; only counts travels, landing in SketchBlob::counts)
-  for (const auto& s : ctx.sketches) {
-    const auto bytes = s.serialize();
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  }
-  return out;
+  mp::WireWriter out;
+  out.put_raw(ctx.local.counts);  // pdc: nonwire(local is the stats holder; only counts travels, landing in SketchBlob::counts)
+  for (const auto& s : ctx.sketches) out.put_bytes(s.serialize());
+  return out.take();
 }
 
 namespace {
@@ -73,19 +69,16 @@ struct SketchBlob {
 };
 
 SketchBlob decode_sketch_blob(std::span<const std::byte> blob) {
+  mp::WireReader in(blob, "pclouds sketch blob");
   SketchBlob out;
-  if (blob.size() < sizeof(data::ClassCounts)) {
-    throw WireError("pclouds: truncated sketch blob");
-  }
   // pdc: nonwire(counts mirrors encode's ctx.local.counts; the decode side
   //              has no NodeStats to land it in, only this holder struct)
-  out.counts = mp::value_from_bytes<data::ClassCounts>(
-      blob.subspan(0, sizeof(data::ClassCounts)));
-  std::size_t offset = sizeof(data::ClassCounts);
+  out.counts = in.get_raw<data::ClassCounts>();
   out.sketches.reserve(data::kNumNumeric);
   for (int a = 0; a < data::kNumNumeric; ++a) {
-    out.sketches.push_back(clouds::QuantileSketch::deserialize(blob, offset));
+    out.sketches.push_back(clouds::QuantileSketch::deserialize(in));
   }
+  in.finish();
   return out;
 }
 
@@ -422,61 +415,19 @@ double CloudsProblem::sequential_cost(std::uint64_t n) const {
 
 namespace {
 
-template <class V>
-void put_raw(std::vector<std::byte>& out, const V& v) {
-  static_assert(std::is_trivially_copyable_v<V>);
-  const auto at = out.size();
-  out.resize(at + sizeof(V));
-  std::memcpy(out.data() + at, &v, sizeof(V));  // pdc-lint: allow(PDC010) -- trivially-copyable value onto the checkpoint wire
-}
-
-template <class V>
-V get_raw(std::span<const std::byte> in, std::size_t& at) {
-  static_assert(std::is_trivially_copyable_v<V>);
-  if (at > in.size() || in.size() - at < sizeof(V)) {
-    throw WireError("pclouds: truncated checkpoint blob");
-  }
-  V v;
-  std::memcpy(&v, in.data() + at, sizeof(V));  // pdc-lint: allow(PDC010) -- trivially-copyable value off the wire; bounds-checked above
-  at += sizeof(V);
-  return v;
-}
-
-template <class V>
-void put_vec(std::vector<std::byte>& out, const std::vector<V>& v) {
-  static_assert(std::is_trivially_copyable_v<V>);
-  put_raw(out, static_cast<std::uint64_t>(v.size()));
-  const auto at = out.size();
-  out.resize(at + v.size() * sizeof(V));
-  if (!v.empty()) std::memcpy(out.data() + at, v.data(), v.size() * sizeof(V));  // pdc-lint: allow(PDC010) -- counted array onto the checkpoint wire
-}
-
-template <class V>
-std::vector<V> get_vec(std::span<const std::byte> in, std::size_t& at) {
-  static_assert(std::is_trivially_copyable_v<V>);
-  const auto n = get_raw<std::uint64_t>(in, at);
-  if ((in.size() - at) / sizeof(V) < n) {
-    throw WireError("pclouds: truncated checkpoint blob");
-  }
-  std::vector<V> v(static_cast<std::size_t>(n));
-  if (n != 0) std::memcpy(v.data(), in.data() + at, v.size() * sizeof(V));  // pdc-lint: allow(PDC010) -- counted array off the wire; n bounds-checked above
-  at += v.size() * sizeof(V);
-  return v;
-}
-
-void put_stats(std::vector<std::byte>& out, const NodeStats& s) {
-  put_raw(out, s.counts);
-  put_raw(out, static_cast<std::uint64_t>(s.hists.size()));
+void put_stats(mp::WireWriter& out, const NodeStats& s) {
+  out.put_raw(s.counts);
+  out.put_raw<std::uint64_t>(s.hists.size());
   for (const auto& h : s.hists) {
-    put_vec(out, h.bounds);
-    put_vec(out, h.freq);
+    out.put_array(h.bounds);
+    out.put_array(h.freq);
   }
-  put_raw(out, static_cast<std::uint64_t>(s.cats.size()));
+  out.put_raw<std::uint64_t>(s.cats.size());
   for (const auto& c : s.cats) {
     // pdc: nonwire(attr travels as the CountMatrix constructor argument on
     //              the read side, not as a field assignment)
-    put_raw(out, c.attr);
-    put_vec(out, c.counts);
+    out.put_raw(c.attr);
+    out.put_array(c.counts);
   }
 }
 
@@ -485,38 +436,34 @@ void put_stats(std::vector<std::byte>& out, const NodeStats& s) {
 /// attribute with one more interval than boundaries, and one count matrix
 /// per categorical attribute, in order, with a row per attribute value: a
 /// restored blob must have exactly that shape.
-NodeStats get_stats(std::span<const std::byte> in, std::size_t& at) {
+NodeStats get_stats(mp::WireReader& in) {
   NodeStats s;
-  s.counts = get_raw<data::ClassCounts>(in, at);
-  if (get_raw<std::uint64_t>(in, at) != data::kNumNumeric) {
-    throw WireError("pclouds: checkpoint stats need one histogram per "
-                    "numeric attribute");
+  s.counts = in.get_raw<data::ClassCounts>();
+  if (in.get_raw<std::uint64_t>() != data::kNumNumeric) {
+    in.reject("stats need one histogram per numeric attribute");
   }
   s.hists.resize(data::kNumNumeric);
   for (auto& h : s.hists) {
-    h.bounds = get_vec<float>(in, at);
-    h.freq = get_vec<data::ClassCounts>(in, at);
+    h.bounds = in.get_array<float>();
+    h.freq = in.get_array<data::ClassCounts>();
     if (h.freq.size() != h.bounds.size() + 1) {
-      throw WireError("pclouds: histogram interval count does not match "
-                      "its boundaries");
+      in.reject("histogram interval count does not match its boundaries");
     }
   }
-  if (get_raw<std::uint64_t>(in, at) != data::kNumCategorical) {
-    throw WireError("pclouds: checkpoint stats need one count matrix per "
-                    "categorical attribute");
+  if (in.get_raw<std::uint64_t>() != data::kNumCategorical) {
+    in.reject("stats need one count matrix per categorical attribute");
   }
   s.cats.clear();
   s.cats.reserve(data::kNumCategorical);
   for (std::size_t i = 0; i < data::kCatCardinality.size(); ++i) {
     const int attr = static_cast<int>(i);
-    if (get_raw<int>(in, at) != attr) {
-      throw WireError("pclouds: categorical attribute id out of order");
+    if (in.get_raw<int>() != attr) {
+      in.reject("categorical attribute id out of order");
     }
     clouds::CountMatrix c(attr);
-    c.counts = get_vec<data::ClassCounts>(in, at);
+    c.counts = in.get_array<data::ClassCounts>();
     if (c.counts.size() != static_cast<std::size_t>(data::kCatCardinality[i])) {
-      throw WireError("pclouds: count matrix rows do not match the "
-                      "attribute's cardinality");
+      in.reject("count matrix rows do not match the attribute's cardinality");
     }
     s.cats.push_back(std::move(c));
   }
@@ -541,50 +488,47 @@ std::vector<std::byte> CloudsProblem::export_state() const {
   if (!pending_.empty() || !splits_.empty()) {
     throw std::logic_error("pclouds: export_state with a decision in flight");
   }
-  std::vector<std::byte> out;
+  mp::WireWriter out;
   // Decisions replay after a resume, so the knobs that steer them must
   // match the snapshot's; stamp them first and verify on restore.
-  put_raw(out, static_cast<std::int32_t>(cfg_.combiner));
-  put_raw(out, static_cast<std::int32_t>(cfg_.vote_k));
-  put_raw(out, static_cast<std::int32_t>(cfg_.hist_bits));
-  put_vec(out, tree_.serialize());
+  out.put_raw(static_cast<std::int32_t>(cfg_.combiner));
+  out.put_raw(static_cast<std::int32_t>(cfg_.vote_k));
+  out.put_raw(static_cast<std::int32_t>(cfg_.hist_bits));
+  out.put_array(tree_.serialize());
 
-  put_raw(out, static_cast<std::uint64_t>(node_of_.size()));
+  out.put_raw<std::uint64_t>(node_of_.size());
   for (const auto id : sorted_keys(node_of_)) {
-    put_raw(out, id);
-    put_raw(out, node_of_.at(id));
+    out.put_raw(id);
+    out.put_raw(node_of_.at(id));
   }
 
-  put_raw(out, static_cast<std::uint64_t>(ctxs_.size()));
+  out.put_raw<std::uint64_t>(ctxs_.size());
   for (const auto id : sorted_keys(ctxs_)) {
     const TaskCtx& ctx = ctxs_.at(id);
-    put_raw(out, id);
-    put_raw(out, static_cast<std::uint8_t>(ctx.filled ? 1 : 0));
-    put_raw(out, static_cast<std::uint8_t>(ctx.prefilled ? 1 : 0));
-    put_vec(out, ctx.sample);
+    out.put_raw(id);
+    out.put_raw(static_cast<std::uint8_t>(ctx.filled ? 1 : 0));
+    out.put_raw(static_cast<std::uint8_t>(ctx.prefilled ? 1 : 0));
+    out.put_array(ctx.sample);
     put_stats(out, ctx.local);
-    put_raw(out, static_cast<std::uint64_t>(ctx.sketches.size()));
-    for (const auto& s : ctx.sketches) {
-      const auto bytes = s.serialize();
-      out.insert(out.end(), bytes.begin(), bytes.end());
-    }
+    out.put_raw<std::uint64_t>(ctx.sketches.size());
+    for (const auto& s : ctx.sketches) out.put_bytes(s.serialize());
   }
 
-  put_raw(out, static_cast<std::uint64_t>(small_subtrees_.size()));
+  out.put_raw<std::uint64_t>(small_subtrees_.size());
   for (const auto& [id, nodes] : small_subtrees_) {
-    put_raw(out, id);
-    put_vec(out, nodes);
+    out.put_raw(id);
+    out.put_array(nodes);
   }
 
-  put_raw(out, diag_);
-  return out;
+  out.put_raw(diag_);
+  return out.take();
 }
 
 void CloudsProblem::restore_state(std::span<const std::byte> blob) {
-  std::size_t at = 0;
-  const auto snap_combiner = get_raw<std::int32_t>(blob, at);
-  const auto snap_vote_k = get_raw<std::int32_t>(blob, at);
-  const auto snap_hist_bits = get_raw<std::int32_t>(blob, at);
+  mp::WireReader in(blob, "pclouds state");
+  const auto snap_combiner = in.get_raw<std::int32_t>();
+  const auto snap_vote_k = in.get_raw<std::int32_t>();
+  const auto snap_hist_bits = in.get_raw<std::int32_t>();
   if (snap_combiner != static_cast<std::int32_t>(cfg_.combiner) ||
       snap_vote_k != cfg_.vote_k || snap_hist_bits != cfg_.hist_bits) {
     throw std::runtime_error(
@@ -592,61 +536,44 @@ void CloudsProblem::restore_state(std::span<const std::byte> blob) {
         "configuration; resume with the matching --combiner/--vote-k/"
         "--hist-bits or start fresh");
   }
-  tree_ = clouds::DecisionTree::deserialize(get_vec<clouds::TreeNode>(blob, at));
+  tree_ = clouds::DecisionTree::deserialize(in.get_array<clouds::TreeNode>());
 
   node_of_.clear();
-  const auto n_nodes = get_raw<std::uint64_t>(blob, at);
-  // Every entry costs an int64 task id plus an int32 node index on the
-  // wire; reject a count the remaining bytes cannot possibly hold.
-  if (n_nodes > (blob.size() - at) /
-                    (sizeof(std::int64_t) + sizeof(std::int32_t))) {
-    throw WireError("pclouds: node map overruns the checkpoint blob");
-  }
-  for (std::uint64_t i = 0; i < n_nodes; ++i) {
-    const auto id = get_raw<std::int64_t>(blob, at);
-    const auto node = get_raw<std::int32_t>(blob, at);
-    node_of_.emplace(id, node);
+  // Every entry costs an int64 task id plus an int32 node index.
+  const auto n_nodes = in.count(sizeof(std::int64_t) + sizeof(std::int32_t));
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    const auto id = in.get_raw<std::int64_t>();
+    node_of_.emplace(id, in.get_raw<std::int32_t>());
   }
 
   ctxs_.clear();
   pending_.clear();
   splits_.clear();
-  const auto n_ctxs = get_raw<std::uint64_t>(blob, at);
-  for (std::uint64_t i = 0; i < n_ctxs; ++i) {
-    const auto id = get_raw<std::int64_t>(blob, at);
+  // Every context costs at least its id, two flags and a sample count.
+  const auto n_ctxs = in.count(2 * sizeof(std::uint64_t) + 2);
+  for (std::size_t i = 0; i < n_ctxs; ++i) {
+    const auto id = in.get_raw<std::int64_t>();
     TaskCtx ctx;
-    ctx.filled = get_raw<std::uint8_t>(blob, at) != 0;
-    ctx.prefilled = get_raw<std::uint8_t>(blob, at) != 0;
-    ctx.sample = get_vec<Record>(blob, at);
-    ctx.local = get_stats(blob, at);
-    const auto n_sketches = get_raw<std::uint64_t>(blob, at);
-    // A serialized sketch is at least four u64 headers; bound the count
-    // before it sizes the reserve below.
-    if (n_sketches > (blob.size() - at) / (4 * sizeof(std::uint64_t))) {
-      throw WireError("pclouds: sketch count overruns the checkpoint blob");
-    }
-    ctx.sketches.reserve(static_cast<std::size_t>(n_sketches));
-    for (std::uint64_t s = 0; s < n_sketches; ++s) {
-      ctx.sketches.push_back(clouds::QuantileSketch::deserialize(blob, at));
-    }
+    ctx.filled = in.get_raw<std::uint8_t>() != 0;
+    ctx.prefilled = in.get_raw<std::uint8_t>() != 0;
+    ctx.sample = in.get_array<Record>();
+    ctx.local = get_stats(in);
+    // A serialized sketch is at least four u64s.
+    ctx.sketches.resize(in.count(4 * sizeof(std::uint64_t)));
+    for (auto& s : ctx.sketches) s = clouds::QuantileSketch::deserialize(in);
     ctxs_.emplace(id, std::move(ctx));
   }
 
   small_subtrees_.clear();
-  const auto n_small = get_raw<std::uint64_t>(blob, at);
-  // Every entry costs an int64 id plus a u64 vector header.
-  if (n_small > (blob.size() - at) / (2 * sizeof(std::uint64_t))) {
-    throw WireError("pclouds: subtree count overruns the checkpoint blob");
-  }
-  for (std::uint64_t i = 0; i < n_small; ++i) {
-    const auto id = get_raw<std::int64_t>(blob, at);
-    small_subtrees_.emplace_back(id, get_vec<clouds::TreeNode>(blob, at));
+  // Every entry costs an int64 id plus a u64 node count.
+  const auto n_small = in.count(2 * sizeof(std::uint64_t));
+  for (std::size_t i = 0; i < n_small; ++i) {
+    const auto id = in.get_raw<std::int64_t>();
+    small_subtrees_.emplace_back(id, in.get_array<clouds::TreeNode>());
   }
 
-  diag_ = get_raw<Diag>(blob, at);
-  if (at != blob.size()) {
-    throw WireError("pclouds: trailing bytes in checkpoint blob");
-  }
+  diag_ = in.get_raw<Diag>();
+  in.finish();
 }
 
 }  // namespace pdc::pclouds

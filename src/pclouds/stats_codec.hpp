@@ -113,29 +113,6 @@ inline std::int64_t quantize_count(std::int64_t v, int bits) {
   return ((v + half) >> shift) << shift;
 }
 
-inline void put_varint(std::vector<std::byte>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::byte>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::byte>(v));
-}
-
-inline std::uint64_t get_varint(std::span<const std::byte> in,
-                                std::size_t& at) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (at >= in.size() || shift > 63) {
-      throw WireError("pclouds: truncated voted-stats blob");
-    }
-    const auto b = static_cast<std::uint64_t>(in[at++]);
-    v |= (b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-  }
-}
-
 inline std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
@@ -164,11 +141,11 @@ inline std::size_t voted_attr_len(const clouds::NodeStats& stats, int attr) {
 inline std::vector<std::byte> encode_voted_stats(
     const clouds::NodeStats& stats, std::span<const int> candidates,
     int hist_bits) {
-  std::vector<std::byte> out;
+  mp::WireWriter out;
   std::int64_t prev = 0;
   const auto put = [&](std::int64_t raw) {
     const std::int64_t q = quantize_count(raw, hist_bits);
-    put_varint(out, zigzag(q - prev));
+    out.put_varint(zigzag(q - prev));
     prev = q;
   };
   for (const int attr : candidates) {
@@ -188,10 +165,10 @@ inline std::vector<std::byte> encode_voted_stats(
   // Node class counts are never quantized: sizes drive the stop rule.
   for (int k = 0; k < data::kNumClasses; ++k) {
     const std::int64_t v = stats.counts[static_cast<std::size_t>(k)];
-    put_varint(out, zigzag(v - prev));
+    out.put_varint(zigzag(v - prev));
     prev = v;
   }
-  return out;
+  return out.take();
 }
 
 /// Decode one rank's voted blob back to the flat count stream (candidate
@@ -201,17 +178,15 @@ inline std::vector<std::int64_t> decode_voted_stats(
   // pdc: nonwire(bulk/stream decoder: yields the flat delta-decoded count
   //              stream; the per-field structure lives in the caller's
   //              voted_attr_len layout, not in this codec)
+  mp::WireReader in(blob, "pclouds voted stats");
   std::vector<std::int64_t> flat;
   flat.reserve(expected_len);
-  std::size_t at = 0;
   std::int64_t prev = 0;
   while (flat.size() < expected_len) {
-    prev += unzigzag(get_varint(blob, at));
+    prev += unzigzag(in.get_varint());
     flat.push_back(prev);
   }
-  if (at != blob.size()) {
-    throw WireError("pclouds: trailing bytes in voted-stats blob");
-  }
+  in.finish();
   return flat;
 }
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 
 #include "common/wire.hpp"
+#include "mp/serialize.hpp"
+#include "obs/json.hpp"
 
 namespace pdc::serve {
 
@@ -15,43 +15,7 @@ namespace {
 
 inline constexpr std::uint32_t kMagic = kCompiledMagic;
 inline constexpr std::uint32_t kVersion = 1;
-inline constexpr std::size_t kHeaderBytes = 24;
 inline constexpr std::size_t kNodeBytes = 16;
-
-void append_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int b = 0; b < 4; ++b) {
-    out.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
-  }
-}
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    out.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
-  }
-}
-
-std::uint16_t read_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t read_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(read_u32(p)) |
-         (static_cast<std::uint64_t>(read_u32(p + 4)) << 32);
-}
 
 [[noreturn]] void reject(const std::string& why) {
   throw WireError("CompiledTree: " + why);
@@ -276,32 +240,30 @@ std::int8_t CompiledTree::predict_checked(const data::Record& r,
   return static_cast<std::int8_t>(nodes_[i].meta >> 1);
 }
 
-std::vector<std::uint8_t> CompiledTree::to_bytes() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + kNodeBytes * nodes_.size());
-  append_u32(out, kMagic);
-  append_u32(out, kVersion);
-  append_u64(out, nodes_.size());
-  append_u32(out, static_cast<std::uint32_t>(depth_));
-  append_u32(out, static_cast<std::uint32_t>(leaves_));
+std::vector<std::byte> CompiledTree::to_bytes() const {
+  mp::WireWriter out;
+  out.put_raw(kMagic);
+  out.put_raw(kVersion);
+  out.put_raw<std::uint64_t>(nodes_.size());
+  out.put_raw(static_cast<std::uint32_t>(depth_));
+  out.put_raw(static_cast<std::uint32_t>(leaves_));
   for (const FlatNode& n : nodes_) {
-    append_u32(out, n.meta);
-    append_u16(out, n.kind);
-    append_u16(out, n.attr);
-    append_u32(out, std::bit_cast<std::uint32_t>(n.threshold));
-    append_u32(out, n.mask);
+    out.put_raw(n.meta);
+    out.put_raw(n.kind);
+    out.put_raw(n.attr);
+    out.put_raw(n.threshold);
+    out.put_raw(n.mask);
   }
-  return out;
+  return out.take();
 }
 
-CompiledTree CompiledTree::from_bytes(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kHeaderBytes) reject("truncated header");
-  const std::uint8_t* p = bytes.data();
-  if (read_u32(p) != kMagic) reject("bad magic");
-  if (read_u32(p + 4) != kVersion) reject("unsupported version");
-  const std::uint64_t count = read_u64(p + 8);
-  const std::uint32_t depth = read_u32(p + 16);
-  const std::uint32_t leaves = read_u32(p + 20);
+CompiledTree CompiledTree::from_bytes(std::span<const std::byte> bytes) {
+  mp::WireReader in(bytes, "CompiledTree");
+  if (in.get_raw<std::uint32_t>() != kMagic) reject("bad magic");
+  if (in.get_raw<std::uint32_t>() != kVersion) reject("unsupported version");
+  const auto count = in.get_raw<std::uint64_t>();
+  const auto depth = in.get_raw<std::uint32_t>();
+  const auto leaves = in.get_raw<std::uint32_t>();
   if (count == 0) reject("empty model");
   // The packed descent mirror keeps first-child in 27 bits (see
   // CompiledTree::DenseNode), which bounds acceptable models.
@@ -311,25 +273,20 @@ CompiledTree CompiledTree::from_bytes(std::span<const std::uint8_t> bytes) {
   // narrowed into the signed/int32 members below.
   if (depth >= (std::uint32_t{1} << 27)) reject("depth out of range");
   if (leaves > count) reject("leaf count exceeds node count");
-  if (bytes.size() != kHeaderBytes + kNodeBytes * count) {
-    reject(bytes.size() < kHeaderBytes + kNodeBytes * count
-               ? "truncated node array"
-               : "trailing bytes after the node array");
-  }
+  if (count > in.remaining() / kNodeBytes) reject("truncated node array");
 
   CompiledTree out;
   out.nodes_.resize(static_cast<std::size_t>(count));
   out.depth_ = static_cast<std::int32_t>(depth);
   out.leaves_ = leaves;
-  p += kHeaderBytes;
   for (FlatNode& n : out.nodes_) {
-    n.meta = read_u32(p);
-    n.kind = read_u16(p + 4);
-    n.attr = read_u16(p + 6);
-    n.threshold = std::bit_cast<float>(read_u32(p + 8));
-    n.mask = read_u32(p + 12);
-    p += kNodeBytes;
+    n.meta = in.get_raw<std::uint32_t>();
+    n.kind = in.get_raw<std::uint16_t>();
+    n.attr = in.get_raw<std::uint16_t>();
+    n.threshold = in.get_raw<float>();
+    n.mask = in.get_raw<std::uint32_t>();
   }
+  in.finish();
   out.validate_and_index();
   return out;
 }
@@ -393,34 +350,11 @@ void CompiledTree::validate_and_index() {
 
 void save_compiled(const CompiledTree& tree,
                    const std::filesystem::path& path) {
-  // pdc: io-wrapper(model persistence at the run boundary, outside the modeled timeline)
-  const auto bytes = tree.to_bytes();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) {
-    throw std::runtime_error("save_compiled: cannot create " + path.string());
-  }
-  const bool ok =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  std::fclose(f);
-  if (!ok) {
-    throw std::runtime_error("save_compiled: short write " + path.string());
-  }
+  obs::write_bytes_file(path.string(), tree.to_bytes());
 }
 
 CompiledTree load_compiled(const std::filesystem::path& path) {
-  // pdc: io-wrapper(model persistence at the run boundary, outside the modeled timeline)
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    throw std::runtime_error("load_compiled: cannot open " + path.string());
-  }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + got);
-  }
-  std::fclose(f);
-  return CompiledTree::from_bytes(bytes);
+  return CompiledTree::from_bytes(obs::read_bytes_file(path.string()));
 }
 
 }  // namespace pdc::serve

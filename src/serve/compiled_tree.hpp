@@ -131,12 +131,12 @@ class CompiledTree {
                               int* steps_out = nullptr) const;
 
   /// Byte-deterministic serialization (header + field-wise nodes).
-  std::vector<std::uint8_t> to_bytes() const;
+  std::vector<std::byte> to_bytes() const;
   /// Parses and fully validates a blob; throws std::runtime_error on a
   /// truncated document, bad magic/version, trailing bytes, or any
   /// structural violation (dangling child index, children not after the
   /// parent, malformed leaf/internal fields, wrong depth or leaf count).
-  static CompiledTree from_bytes(std::span<const std::uint8_t> bytes);
+  static CompiledTree from_bytes(std::span<const std::byte> bytes);
 
   friend bool operator==(const CompiledTree& a, const CompiledTree& b) {
     return a.nodes_ == b.nodes_ && a.depth_ == b.depth_ &&

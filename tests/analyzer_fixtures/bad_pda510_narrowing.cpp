@@ -3,15 +3,17 @@
 // Every parse_* function below pulls a count, size or index straight off
 // an untrusted byte buffer and lets it drive an allocation, a copy
 // length, an array subscript, a loop bound or a narrowing cast with no
-// validated bound in between.  parse_checked() is the control: it
-// bounds the count against the buffer and rejects, so it must stay
-// quiet.
+// validated bound in between.  parse_checked() and
+// parse_cursor_counted() are the controls: they bound the count against
+// the buffer and reject, so they must stay quiet.
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <vector>
+
+#include "mp/serialize.hpp"
 
 namespace fixture {
 
@@ -75,6 +77,27 @@ inline std::uint64_t parse_sum(std::span<const std::byte> in) {
     sum += get_word(in, at);
   }
   return sum;
+}
+
+// Through the wire cursor, mp::WireReader (the harness analyzes this
+// fixture together with src/mp/serialize.hpp): get_raw() is a raw read,
+// untrusted by its prefix, while count() bounds the count it reads against
+// the bytes left and throws.
+inline std::vector<float> parse_cursor_raw(std::span<const std::byte> in) {
+  pdc::mp::WireReader cur(in, "fixture");
+  std::vector<float> values;
+  const auto n = cur.get_raw<std::uint64_t>();
+  values.resize(n);  // expect-PDA510 (allocation size via the raw reader)
+  return values;
+}
+
+// Control: the count comes through count(), already bounded by the input.
+inline std::vector<float> parse_cursor_counted(
+    std::span<const std::byte> in) {
+  pdc::mp::WireReader cur(in, "fixture");
+  std::vector<float> values;
+  values.resize(cur.count(sizeof(float)));
+  return values;
 }
 
 // Control: the count is compared against what the buffer can hold and

@@ -133,6 +133,37 @@ class CleanCounters {
   std::uint64_t cache_ = 0;  // pdc: nonwire(derived from lo_/hi_ by rebuild() after load)
 };
 
+// PDA500 near-miss: member calls with template arguments are calls, not
+// fields, so both sides of this pair touch exactly {magic, size}.
+struct FrameHeader {
+  std::uint32_t magic = 0;
+  std::uint32_t size = 0;
+};
+
+class ByteSink {
+ public:
+  template <class T>
+  void put(const T& v);
+};
+
+class ByteSource {
+ public:
+  template <class T>
+  T get();
+};
+
+inline void put_frame_header(ByteSink& out, const FrameHeader& h) {
+  out.put<std::uint32_t>(h.magic);
+  out.put<std::uint32_t>(h.size);
+}
+
+inline FrameHeader get_frame_header(ByteSource& in) {
+  FrameHeader h;
+  h.magic = in.get<std::uint32_t>();
+  h.size = in.get<std::uint32_t>();
+  return h;
+}
+
 // PDA510 near-miss: the wire count is bounded against the buffer and
 // rejected before it sizes anything.
 inline std::uint64_t take_count(const std::vector<unsigned char>& in,

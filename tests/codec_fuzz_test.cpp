@@ -7,10 +7,11 @@
 //
 // Formats covered: QuantileSketch blobs, the pdcT tree file, the pdcF
 // compiled-tree blob, the voted-stats varint stream, CloudsProblem
-// checkpoint state, and the CheckpointStore manifest.  The three formats
-// that carry tree arenas (pdcT, pdcF and checkpoint state) also get
-// structural mutants that rewrite child links: every accepted arena must be
-// a tree, so it compiles to (or keeps) no more nodes than it holds.
+// checkpoint state, the CheckpointStore manifest, and DcDriver checkpoint
+// state.  The three formats that carry tree arenas (pdcT, pdcF and
+// CloudsProblem state) also get structural mutants that rewrite child
+// links: every accepted arena must be a tree, so it compiles to (or keeps)
+// no more nodes than it holds.  A last test pins every format's bytes.
 
 #include <gtest/gtest.h>
 
@@ -31,12 +32,17 @@
 #include "clouds/splitters.hpp"
 #include "common/wire.hpp"
 #include "data/agrawal.hpp"
+#include "data/dataset.hpp"
 #include "fault/checkpoint.hpp"
 #include "io/local_disk.hpp"
 #include "io/scratch.hpp"
 #include "mp/clock.hpp"
 #include "mp/cost_model.hpp"
 #include "mp/machine.hpp"
+#include "mp/runtime.hpp"
+#include "mp/serialize.hpp"
+#include "obs/json.hpp"
+#include "pclouds/pclouds.hpp"
 #include "pclouds/problem.hpp"
 #include "pclouds/stats_codec.hpp"
 #include "serve/compiled_tree.hpp"
@@ -141,6 +147,12 @@ void expect_linear(const DecisionTree& tree) {
             tree.node_count());
 }
 
+/// 64-bit FNV-1a over the bytes of a contiguous container.
+template <class Bytes>
+std::uint64_t digest(const Bytes& bytes) {
+  return fault::fnv1a64(std::as_bytes(std::span(bytes)));
+}
+
 // ------------------------------------------------ QuantileSketch ---
 
 QuantileSketch seeded_sketch() {
@@ -154,9 +166,9 @@ QuantileSketch seeded_sketch() {
 TEST(CodecFuzz, QuantileSketchRoundTripsByteIdentically) {
   const auto s = seeded_sketch();
   const auto bytes = s.serialize();
-  std::size_t offset = 0;
-  const auto back = QuantileSketch::deserialize(bytes, offset);
-  EXPECT_EQ(offset, bytes.size());
+  mp::WireReader in(bytes, "sketch");
+  const auto back = QuantileSketch::deserialize(in);
+  EXPECT_EQ(in.remaining(), 0u);
   EXPECT_EQ(back.serialize(), bytes);
   EXPECT_EQ(back.count(), s.count());
   for (const double phi : {0.1, 0.5, 0.9}) {
@@ -167,8 +179,8 @@ TEST(CodecFuzz, QuantileSketchRoundTripsByteIdentically) {
 TEST(CodecFuzz, QuantileSketchSurvivesMutations) {
   const auto bytes = seeded_sketch().serialize();
   fuzz_bytes(bytes, 0x51eef001, [](const std::vector<std::byte>& b) {
-    std::size_t offset = 0;
-    auto s = QuantileSketch::deserialize(b, offset);
+    mp::WireReader in(b, "sketch");
+    auto s = QuantileSketch::deserialize(in);
     // A decode that validates must also be safe to query.
     (void)s.quantile(0.5);
     (void)s.boundaries(8);
@@ -227,13 +239,11 @@ TEST(CodecFuzz, TreeFileSurvivesMutations) {
 
 void write_tree_file(const std::filesystem::path& path,
                      const std::vector<TreeNode>& nodes) {
-  clouds::detail::TreeHeader header;
-  header.node_count = nodes.size();
-  std::vector<char> bytes(sizeof(header) + nodes.size() * sizeof(TreeNode));
-  std::memcpy(bytes.data(), &header, sizeof(header));
-  std::memcpy(bytes.data() + sizeof(header), nodes.data(),
-              nodes.size() * sizeof(TreeNode));
-  write_raw(path, bytes);
+  mp::WireWriter out;
+  out.put_raw(clouds::detail::kTreeMagic);
+  out.put_raw(clouds::detail::kTreeVersion);
+  out.put_array(nodes);
+  obs::write_bytes_file(path.string(), out.take());
 }
 
 TEST(CodecFuzz, TreeFileSurvivesChildLinkRewrites) {
@@ -263,7 +273,7 @@ TEST(CodecFuzz, CompiledTreeRoundTripsByteIdentically) {
 TEST(CodecFuzz, CompiledTreeSurvivesMutations) {
   const auto bytes = serve::CompiledTree::compile(trained_tree()).to_bytes();
   const auto probe = agrawal_records(32, 99);
-  fuzz_bytes(bytes, 0x51eef003, [&](const std::vector<std::uint8_t>& b) {
+  fuzz_bytes(bytes, 0x51eef003, [&](const std::vector<std::byte>& b) {
     const auto t = serve::CompiledTree::from_bytes(b);
     for (const auto& r : probe) (void)t.predict(r);
   });
@@ -321,7 +331,7 @@ TEST(CodecFuzz, CompiledTreeSurvivesChildLinkRewrites) {
     auto mutant = bytes;
     const std::size_t at = header + sizeof(serve::FlatNode) * node;
     for (std::size_t b = 0; b < 4; ++b) {  // little-endian meta, leaf bit 0
-      mutant[at + b] = static_cast<std::uint8_t>((target << 1) >> (8 * b));
+      mutant[at + b] = static_cast<std::byte>((target << 1) >> (8 * b));
     }
     try {
       const auto t = serve::CompiledTree::from_bytes(mutant);
@@ -707,6 +717,108 @@ TEST(CodecFuzz, CorruptBlobInvalidatesTheSnapshot) {
   }
   write_raw(blob_path, original);
   EXPECT_EQ(store.valid_versions(), std::vector<std::uint64_t>{1});
+}
+
+// ------------------------------------------- DcDriver snapshot state ---
+
+/// One pCLOUDS training run on a single rank over `arena`'s disk.  A single
+/// rank keeps every collective in step however a snapshot is mutated.
+std::vector<TreeNode> train_single_rank(io::ScratchArena& arena,
+                                        std::uint64_t checkpoint_every,
+                                        bool resume) {
+  constexpr std::uint64_t kRecords = 1500;
+  pclouds::PcloudsConfig cfg;
+  cfg.clouds.q_root = 200;
+  cfg.memory_bytes = 32 << 10;
+  cfg.checkpoint_every = checkpoint_every;
+  cfg.resume = resume;
+  std::vector<TreeNode> tree;
+  mp::Runtime(1).run([&](mp::Comm& comm) {
+    io::LocalDisk disk(arena.rank_dir(0), &comm.cost(), &comm.clock());
+    const AgrawalGenerator gen({.function = 2, .seed = 17});
+    const data::DatasetPartition part(kRecords, 1);
+    data::materialize_local_slice(gen, part, 0, disk, "train.dat", 2048);
+    const auto sample =
+        data::draw_local_sample(gen, part, data::Sampler(0.05, 4), 0);
+    tree = pclouds::pclouds_train(comm, cfg, disk, "train.dat", sample)
+               .serialize();
+  });
+  return tree;
+}
+
+// The driver's state blob (counters and pending tasks), mutated and
+// written back through CheckpointStore so the checksums pass: every resume
+// ends in a tree or a typed exception.
+TEST(CodecFuzz, DriverStateSurvivesMutations) {
+  io::ScratchArena arena("codec_fuzz_driver", 1);
+  const auto reference = train_single_rank(arena, 1, false);
+  ASSERT_FALSE(reference.empty());
+
+  mp::CostModel cost{mp::Machine{}};
+  mp::Clock clock{};
+  io::LocalDisk disk(arena.rank_dir(0), &cost, &clock);
+  fault::CheckpointStore store(disk);
+  const auto version = store.valid_versions().back();
+  const auto names = store.blob_names(version);
+  ASSERT_TRUE(names.has_value());
+  std::vector<fault::CheckpointBlob> blobs;
+  for (const auto& name : *names) {
+    blobs.push_back({name, store.read_blob(version, name)});
+  }
+  auto& state = blobs.back();
+  ASSERT_EQ(state.name, "state");
+  const auto seed = state.bytes;
+  const auto resume_with = [&](const std::vector<std::byte>& bytes) {
+    state.bytes = bytes;
+    store.write(version, blobs);
+    return train_single_rank(arena, 0, true);
+  };
+
+  // Written back unchanged, the snapshot resumes to the uninterrupted tree.
+  EXPECT_EQ(digest(resume_with(seed)), digest(reference));
+  fuzz_bytes(seed, 0x51eef00c, [&](const std::vector<std::byte>& b) {
+    (void)resume_with(b);
+  });
+}
+
+// ------------------------------------------------- pinned format bytes ---
+
+// The bytes of every format for a seeded input, hashed: a change that is
+// not meant to alter a format must keep its constant.
+TEST(CodecFuzz, EveryFormatKeepsItsBytes) {
+  io::ScratchArena arena("codec_fuzz_digests", 1);
+  const auto tree_path = arena.rank_dir(0) / "model.pdct";
+  clouds::save_tree(trained_tree(), tree_path);
+  EXPECT_EQ(digest(read_raw(tree_path)), 0xfac2f67125c13b07u) << "pdcT file";
+  EXPECT_EQ(digest(serve::CompiledTree::compile(trained_tree()).to_bytes()),
+            0x0b1a9a287f6ea349u)
+      << "pdcF blob";
+  EXPECT_EQ(digest(seeded_sketch().serialize()), 0x8a1798612a553825u)
+      << "sketch blob";
+  EXPECT_EQ(digest(seeded_voted().blob), 0x2b89aadb6ff6b683u) << "voted stream";
+
+  const auto records = agrawal_records(500, 17);
+  const std::vector<Record> sample(records.begin(), records.begin() + 50);
+  EXPECT_EQ(digest(seeded_problem(records, sample).export_state()),
+            0xf3d1c7997668baf4u)
+      << "problem state";
+  auto cfg = fuzz_cfg();
+  cfg.boundaries = pclouds::BoundarySource::kSketch;
+  pclouds::CloudsProblem sketching(cfg, records.size(), {},
+                                   clouds::CostHooks{}, nullptr);
+  EXPECT_EQ(digest(sketching.local_stats(memory_scan(records),
+                                         root_task(records))),
+            0xa1937d5713f357beu)
+      << "problem sketch blob";
+  EXPECT_EQ(digest(sketching.export_state()), 0xf3df7303c7bb0c91u)
+      << "problem state with sketches";
+
+  CkptRig rig;
+  io::LocalDisk disk(rig.arena.rank_dir(0), &rig.cost, &rig.clock);
+  fault::CheckpointStore(disk).write(1, two_blobs());
+  EXPECT_EQ(digest(read_raw(rig.arena.rank_dir(0) / "pdc.ckpt.v1.manifest")),
+            0xdab526e183c39ef9u)
+      << "checkpoint manifest";
 }
 
 }  // namespace

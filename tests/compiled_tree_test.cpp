@@ -229,11 +229,11 @@ TEST(CompiledTree, AccuracyMatchesInterpreted) {
 
 // ------------------------------------------------------- reject paths ---
 
-std::vector<std::uint8_t> good_blob() {
+std::vector<std::byte> good_blob() {
   return CompiledTree::compile(trained_tree(29)).to_bytes();
 }
 
-void expect_reject(std::vector<std::uint8_t> bytes) {
+void expect_reject(std::vector<std::byte> bytes) {
   EXPECT_THROW((void)CompiledTree::from_bytes(bytes), std::runtime_error);
 }
 
@@ -251,19 +251,19 @@ TEST(CompiledTreeReject, TruncatedNodeArray) {
 
 TEST(CompiledTreeReject, TrailingBytes) {
   auto bytes = good_blob();
-  bytes.push_back(0);
+  bytes.push_back(std::byte{0});
   expect_reject(std::move(bytes));
 }
 
 TEST(CompiledTreeReject, BadMagic) {
   auto bytes = good_blob();
-  bytes[0] ^= 0xff;
+  bytes[0] ^= std::byte{0xff};
   expect_reject(std::move(bytes));
 }
 
 TEST(CompiledTreeReject, BadVersion) {
   auto bytes = good_blob();
-  bytes[4] = 99;
+  bytes[4] = std::byte{99};
   expect_reject(std::move(bytes));
 }
 
@@ -272,11 +272,11 @@ TEST(CompiledTreeReject, EmptyModel) { expect_reject({}); }
 /// Byte offset of node i's meta field (header is 24 bytes, nodes 16).
 std::size_t meta_off(std::size_t i) { return 24 + 16 * i; }
 
-void poke_u32(std::vector<std::uint8_t>& bytes, std::size_t off,
+void poke_u32(std::vector<std::byte>& bytes, std::size_t off,
               std::uint32_t v) {
   for (int b = 0; b < 4; ++b) {
     bytes[off + static_cast<std::size_t>(b)] =
-        static_cast<std::uint8_t>(v >> (8 * b));
+        static_cast<std::byte>(v >> (8 * b));
   }
 }
 

@@ -10,7 +10,10 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -20,6 +23,9 @@
 #include "fault/checkpoint.hpp"
 #include "fault/fault.hpp"
 #include "io/scratch.hpp"
+#include "mp/clock.hpp"
+#include "mp/cost_model.hpp"
+#include "mp/machine.hpp"
 #include "mp/runtime.hpp"
 #include "pclouds/pclouds.hpp"
 
@@ -418,6 +424,75 @@ TEST(CheckpointRestart, ResumeWithoutSnapshotsStartsFresh) {
   const auto r = run_training(a, p, n, train_cfg(2, true), nullptr);
   EXPECT_FALSE(r.dc.resumed);
   ASSERT_FALSE(r.tree.empty());
+}
+
+/// Appends the bytes of `v` to `out`.
+template <class V>
+void append_bytes(std::vector<std::byte>& out, const V& v) {
+  const auto bytes = std::as_bytes(std::span(&v, 1));
+  out.insert(out.end(), bytes.begin(), bytes.end());
+}
+
+// A resumed run writes and later deletes the data file of every task its
+// snapshot holds.  The forged snapshot below names a file outside the rank
+// directory for its one pending task, in a state laid out as the counters,
+// the task and a length-prefixed file name; its checksums are valid, since
+// it is written through CheckpointStore.  Whatever the resume makes of it,
+// the file outside must survive untouched.
+TEST(CheckpointRestart, ForgedSnapshotCannotReachOutsideTheRankDir) {
+  const std::uint64_t n = 2000;
+  io::ScratchArena arena("fault_forged", 1);
+  (void)run_training(arena, 1, n, train_cfg(1, false), nullptr);
+
+  const auto victim = arena.root() / "victim.dat";
+  const std::string precious = "records kept outside the rank directory";
+  {
+    std::ofstream f(victim, std::ios::binary);
+    f << precious;
+  }
+
+  mp::CostModel cost{mp::Machine{}};
+  mp::Clock clock{};
+  io::LocalDisk disk(arena.rank_dir(0), &cost, &clock);
+  CheckpointStore store(disk);
+  const auto versions = store.valid_versions();
+  ASSERT_FALSE(versions.empty());
+  const auto v = versions.back();
+
+  dc::Task task;
+  task.id = 1;
+  task.parent = 0;
+  task.depth = 1;
+  task.global_n = 8;
+  const std::string file = "../victim.dat";
+  // The next task id, zeroed counters, one queued and no small task, then
+  // the task and its file name.
+  std::vector<std::byte> state;
+  append_bytes(state, std::int64_t{3});
+  state.resize(state.size() + sizeof(dc::DcReport));
+  append_bytes(state, std::uint64_t{1});
+  append_bytes(state, std::uint64_t{0});
+  append_bytes(state, task);
+  append_bytes(state, std::uint64_t{file.size()});
+  const auto name = std::as_bytes(std::span(file));
+  state.insert(state.end(), name.begin(), name.end());
+  std::vector<std::byte> records(8 * sizeof(data::Record), std::byte{1});
+  const std::vector<CheckpointBlob> forged = {
+      {"task_0", records},
+      {"problem", store.read_blob(v, "problem")},
+      {"state", state}};
+  store.write(v + 1, forged);
+
+  try {
+    (void)run_training(arena, 1, n, train_cfg(1, true), nullptr);
+  } catch (const std::exception&) {
+    // Rejecting the snapshot is one acceptable outcome.
+  }
+  std::ifstream f(victim, std::ios::binary);
+  ASSERT_TRUE(f.good()) << victim << " was deleted";
+  const std::string after{std::istreambuf_iterator<char>(f),
+                          std::istreambuf_iterator<char>()};
+  EXPECT_EQ(after, precious);
 }
 
 // The seeded scenario matrix: 8 seeds x {disk, comm}.  Every scenario

@@ -104,9 +104,9 @@ TEST(QuantileSketch, SerializeRoundTrip) {
   QuantileSketch s(128);
   for (float v : data) s.add(v);
   const auto bytes = s.serialize();
-  std::size_t offset = 0;
-  auto restored = QuantileSketch::deserialize(bytes, offset);
-  EXPECT_EQ(offset, bytes.size());
+  mp::WireReader in(bytes, "sketch");
+  auto restored = QuantileSketch::deserialize(in);
+  EXPECT_EQ(in.remaining(), 0u);
   EXPECT_EQ(restored.count(), s.count());
   EXPECT_EQ(restored.serialize(), bytes);
   EXPECT_FLOAT_EQ(restored.quantile(0.5), s.quantile(0.5));
@@ -122,10 +122,10 @@ TEST(QuantileSketch, SeveralSketchesShareOneBuffer) {
   std::vector<std::byte> buffer = a.serialize();
   const auto more = b.serialize();
   buffer.insert(buffer.end(), more.begin(), more.end());
-  std::size_t offset = 0;
-  auto ra = QuantileSketch::deserialize(buffer, offset);
-  auto rb = QuantileSketch::deserialize(buffer, offset);
-  EXPECT_EQ(offset, buffer.size());
+  mp::WireReader in(buffer, "sketches");
+  auto ra = QuantileSketch::deserialize(in);
+  auto rb = QuantileSketch::deserialize(in);
+  EXPECT_EQ(in.remaining(), 0u);
   EXPECT_EQ(ra.count(), 1000u);
   EXPECT_EQ(rb.count(), 1000u);
   EXPECT_GT(ra.quantile(0.5), 0.0f);
