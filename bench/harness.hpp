@@ -126,13 +126,14 @@ inline std::uint64_t scaled(std::uint64_t records) {
   return records;
 }
 
-/// PDC_BENCH_PIPELINE=1 turns the async I/O pipeline on for every
-/// experiment point (default off, matching the synchronous oracle).  CI
-/// runs the suite both ways and checks pipelined <= synchronous.
+/// PDC_BENCH_PIPELINE=1 turns the async I/O pipeline on (queue depth 2)
+/// for every experiment point (default off: depth 0, the synchronous
+/// oracle).  CI runs the suite both ways and checks pipelined <=
+/// synchronous.
 inline io::PipelineConfig bench_pipeline() {
   io::PipelineConfig cfg;
   if (const char* env = std::getenv("PDC_BENCH_PIPELINE")) {
-    cfg.enabled = std::atoi(env) != 0;
+    if (std::atoi(env) != 0) cfg.queue_depth = 2;
   }
   return cfg;
 }
@@ -154,7 +155,9 @@ inline ExpResult run_experiment(const ExpParams& params) {
   mp::Runtime rt(params.p, params.machine);
   // PDC_BENCH_PIPELINE applies to every point that did not opt in itself.
   pclouds::PcloudsConfig cfg = params.cfg;
-  if (!cfg.clouds.pipeline.enabled) cfg.clouds.pipeline = bench_pipeline();
+  if (cfg.clouds.pipeline.queue_depth == 0) {
+    cfg.clouds.pipeline = bench_pipeline();
+  }
   data::AgrawalGenerator gen({.function = params.function, .seed = 404});
   data::DatasetPartition part(params.records, params.p);
   data::Sampler sampler(params.sample_rate, 17);

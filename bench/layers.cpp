@@ -7,7 +7,16 @@
 // in the train-clean workload) at q = 10, 100 and 600 intervals per numeric
 // attribute.  The boundaries come from a 5% sample of the same records, as
 // a node's do; the `bounds` counter is their total over the six lanes.
-// items_per_second is records binned per second.  CI runs it as
+// items_per_second is records binned per second.
+//
+// BM_BlockRead and BM_BlockWrite stream the same records through
+// io::BlockReader / io::BlockWriter at queue depth 0 -- one synchronous disk
+// request per block, the path every training scan and partition pass takes
+// -- on a scratch LocalDisk, with blocks of 1040 and 4161 records: the
+// training streams' block size, MemoryBudget::paper_scaled(n)
+// .block_records(sizeof(Record), 3), at n = 500k and 2M.  items_per_second
+// is records streamed per second; the write pass includes creating the
+// file.  CI runs it as
 //
 //   ./build/bench/layers --benchmark_min_time=0.2
 //       --benchmark_out=bench_layers.json --benchmark_out_format=json
@@ -20,6 +29,12 @@
 
 #include "clouds/splitters.hpp"
 #include "data/agrawal.hpp"
+#include "io/local_disk.hpp"
+#include "io/pipeline.hpp"
+#include "io/scratch.hpp"
+#include "mp/clock.hpp"
+#include "mp/cost_model.hpp"
+#include "mp/machine.hpp"
 
 namespace {
 
@@ -59,6 +74,47 @@ void BM_NodeStatsAdd(benchmark::State& state) {
 }
 
 BENCHMARK(BM_NodeStatsAdd)->Arg(10)->Arg(100)->Arg(600);
+
+/// One rank's disk in a scratch directory that is removed afterwards.
+struct ScratchDisk {
+  pdc::io::ScratchArena arena{"bench_layers", 1};
+  pdc::mp::CostModel cost{pdc::mp::Machine::sp2_like()};
+  pdc::mp::Clock clock;
+  pdc::io::LocalDisk disk{arena.rank_dir(0), &cost, &clock};
+};
+
+void BM_BlockRead(benchmark::State& state) {
+  const auto& recs = records();
+  const auto block = static_cast<std::size_t>(state.range(0));
+  ScratchDisk d;
+  d.disk.write_file<Record>("scan.dat", recs);
+  std::vector<Record> buf;
+  for (auto _ : state) {
+    pdc::io::BlockReader<Record> reader(d.disk, "scan.dat", block);
+    std::size_t n = 0;
+    while (reader.next_block(buf)) n += buf.size();
+    benchmark::DoNotOptimize(n);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(recs.size()));
+}
+
+void BM_BlockWrite(benchmark::State& state) {
+  const auto& recs = records();
+  const auto block = static_cast<std::size_t>(state.range(0));
+  ScratchDisk d;
+  for (auto _ : state) {
+    pdc::io::BlockWriter<Record> writer(d.disk, "part.dat", block);
+    for (const auto& r : recs) writer.append(r);
+    writer.close();
+    benchmark::DoNotOptimize(writer.count());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(recs.size()));
+}
+
+BENCHMARK(BM_BlockRead)->Arg(1040)->Arg(4161);
+BENCHMARK(BM_BlockWrite)->Arg(1040)->Arg(4161);
 
 }  // namespace
 

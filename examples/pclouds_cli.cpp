@@ -131,7 +131,9 @@ void print_usage(std::FILE* to) {
       "                           ahead + write-behind; default off).  The\n"
       "                           tree is identical either way; only the\n"
       "                           modeled time changes\n"
-      "  --queue-depth N          in-flight blocks per stream (default 2)\n"
+      "  --queue-depth N          in-flight blocks per stream with --pipeline\n"
+      "                           on (default 2; off runs every request\n"
+      "                           inline, depth 0)\n"
       "  --help                   this message\n");
 }
 
@@ -404,8 +406,7 @@ int main(int argc, char** argv) {
         clouds::DecisionTree local_tree;
         pclouds::PcloudsDiag local_diag;
         io::PipelineConfig pipeline;
-        pipeline.enabled = opt.pipeline;
-        pipeline.queue_depth = opt.queue_depth;
+        pipeline.queue_depth = opt.pipeline ? opt.queue_depth : 0;
         if (opt.classifier == "sprint") {
           sprint::SprintConfig cfg;
           cfg.memory_bytes = opt.memory;

@@ -23,10 +23,10 @@ before anything runs, with three interprocedural checks:
   PDA300 uncharged-io
       Raw I/O (fopen/fread/fwrite and friends) in a function with no
       modeled-clock charge (charge_io*/charge_read/charge_write/add_io/
-      settle_async/CostHooks).  Functions that are charged elsewhere by
-      design (async worker bodies settled later, observer exports outside
-      the modeled timeline) carry `// pdc: io-wrapper(reason)` and are
-      inventoried.
+      CostHooks).  Functions that are charged elsewhere by design
+      (the disk request executor, settled later by the issuing rank;
+      observer exports outside the modeled timeline) carry
+      `// pdc: io-wrapper(reason)` and are inventoried.
 
   PDA400 unguarded-shared-field
       A mutable field in a class that owns a lock, condition variable,
@@ -84,16 +84,13 @@ before anything runs, with three interprocedural checks:
       these makes the wire image differ between runs that are
       semantically identical, breaking byte-exact reproducibility.
 
-Frontends (mirrors scripts/run_tidy.py):
-  * libclang, driven by compile_commands.json, when the python bindings
-    are importable — sharpens PDA100 with AST-accurate branch scoping.
-  * AST-lite otherwise: comment/string-stripped text, brace-matched
-    function extraction, regex taint seeds with intra-function fixpoint
-    propagation, and a name-keyed transitive call graph.  PDA200/PDA300
-    always run on the AST-lite engine (they are annotation-driven and
-    line-scoped); the reduced mode is the tested baseline everywhere.
+Frontend: AST-lite, the one engine every check runs on, so a finding
+never depends on what the machine has installed: comment/string-stripped
+text, brace-matched function extraction, regex taint seeds with
+intra-function fixpoint propagation, and a name-keyed transitive call
+graph.
 
-Reduced-mode semantics (documented deviations from the full analysis):
+Its semantics (documented deviations from a compiler-accurate analysis):
   * the call graph is name-keyed, so overloads share one node;
   * taint is intra-function (seeds + assignment fixpoint), and
     local-partition-size taint is approximated through I/O-result
@@ -113,9 +110,6 @@ default .analyze-cache; CI persists it with actions/cache).
 
 Usage:
     pdc_analyze.py [paths...]       analyze trees (default: src)
-    --mode auto|ast-lite|libclang   frontend selection (default: auto)
-    --build-dir DIR                 compile_commands.json location for
-                                    libclang mode (default: build)
     --json OUT.json                 write the pdc.analysis.v1 report
     --sarif OUT.sarif               write SARIF 2.1.0
     --cache-dir DIR / --no-cache    whole-run result cache
@@ -220,7 +214,7 @@ RAW_IO_RE = re.compile(
     r"\b(?:std::)?(fopen|fread|fwrite)\s*\(")
 CHARGE_RE = re.compile(
     r"\b(?:charge_read|charge_write|charge_io\w*|charge_bytes|charge_scan|"
-    r"add_io|settle_async)\s*\(|\bCostHooks\b")
+    r"add_io)\s*\(|\bCostHooks\b")
 
 INCORE_RE = re.compile(r"pdc:\s*incore\(([^)]*)\)")
 IOWRAP_RE = re.compile(r"pdc:\s*io-wrapper\(([^)]*)\)")
@@ -443,7 +437,7 @@ def build_call_graph(models):
     """Name-keyed call graph; returns the set of function names that
     transitively reach an mp::Comm collective call site.
 
-    Reduced-mode conservatism: a name is considered reaching only when
+    Conservatism: a name is considered reaching only when
     EVERY definition of that name reaches.  The name key merges overloads
     and unrelated same-named methods (AsyncEngine::run vs DcDriver::run);
     all-definitions semantics keeps those collisions from poisoning the
@@ -586,7 +580,7 @@ def scan_regions(code: str):
     # Any *scan*-named call taking a lambda, including the curried
     # io::file_scan<T>(disk, file, block, cfg)([&](const T& rec) { ... })
     # form the dc driver uses.  A scan callback bound to a named variable
-    # first is invisible to the reduced mode (documented limitation).
+    # first is invisible to the analyzer (documented limitation).
     for m in re.finditer(r"\b([A-Za-z_]\w*)\s*(?:<[^;(]*>)?\s*\(", code):
         if "scan" not in m.group(1):
             continue
@@ -1724,75 +1718,9 @@ def check_pda520(fm: FileModel, add, class_reg):
                 "padding leaks into the wire image)")
 
 
-# ------------------------------------------------------ libclang frontend ---
-
-def try_libclang_pda100(models, build_dir, findings, add):
-    """Best-effort AST-accurate PDA100 via the libclang python bindings.
-
-    Returns True when libclang analyzed the TUs (its findings replace the
-    AST-lite PDA100 set); False means unavailable and the caller keeps the
-    reduced-mode results.  Any failure degrades, never aborts.
-    """
-    try:
-        from clang import cindex  # noqa: F401
-    except Exception:
-        return False
-    try:
-        db_path = os.path.join(build_dir, "compile_commands.json")
-        with open(db_path, encoding="utf-8") as f:
-            entries = json.load(f)
-        index = cindex.Index.create()
-        rel_set = {fm.path for fm in models}
-        by_rel = {fm.path: fm for fm in models}
-        seen = set()
-        taint_names = {"rank", "global_rank", "next_block", "read_file",
-                       "file_records", "file_bytes", "exists", "probe",
-                       "remaining"}
-
-        def expr_tainted(cur):
-            for c in cur.walk_preorder():
-                if c.kind in (cindex.CursorKind.CALL_EXPR,
-                              cindex.CursorKind.MEMBER_REF_EXPR) \
-                        and c.spelling in taint_names:
-                    return True
-            return False
-
-        def visit(cur, under_taint):
-            k = cur.kind
-            if k in (cindex.CursorKind.IF_STMT,
-                     cindex.CursorKind.WHILE_STMT,
-                     cindex.CursorKind.SWITCH_STMT):
-                kids = list(cur.get_children())
-                if kids and expr_tainted(kids[0]):
-                    under_taint = True
-            if k == cindex.CursorKind.CALL_EXPR \
-                    and cur.spelling in COLLECTIVES and under_taint:
-                loc = cur.location
-                if loc.file:
-                    rel = relpath(loc.file.name)
-                    if rel in rel_set and (rel, loc.line) not in seen:
-                        seen.add((rel, loc.line))
-                        add(by_rel[rel], loc.line, "PDA100", "",
-                            f"collective {cur.spelling}() under a "
-                            "tainted branch [libclang]")
-            for c in cur.get_children():
-                visit(c, under_taint)
-
-        for e in entries:
-            args = [a for a in (e.get("arguments") or e["command"].split())
-                    if a not in ("-c", "-o")][1:]
-            tu = index.parse(e["file"], args=args)
-            visit(tu.cursor, False)
-        return True
-    except Exception as exc:  # degrade to the reduced mode
-        print(f"pdc_analyze: libclang frontend failed ({exc}); "
-              "keeping AST-lite results", file=sys.stderr)
-        return False
-
-
 # ----------------------------------------------------------------- driver ---
 
-def analyze(paths, mode, build_dir):
+def analyze(paths):
     models = [load_file(p) for p in iter_targets(paths)]
     findings = []
     suppressions = []
@@ -1826,20 +1754,8 @@ def analyze(paths, mode, build_dir):
         for fn in fm.functions:
             fn.cls = fn.qual or _innermost_class(fm, fn)
 
-    used_libclang = False
-    if mode in ("auto", "libclang"):
-        pre = len(findings)
-        used_libclang = try_libclang_pda100(models, build_dir, findings,
-                                           add)
-        if not used_libclang:
-            if mode == "libclang":
-                sys.exit("pdc_analyze: --mode libclang requested but the "
-                         "clang python bindings are not importable")
-            del findings[pre:]
-    if not used_libclang:
-        for fm in models:
-            check_pda100(fm, reaches, add)
     for fm in models:
+        check_pda100(fm, reaches, add)
         check_pda200(fm, add, incore_zones)
         check_pda300(fm, add, io_wrappers)
         check_pda400(fm, add, unshared_fields)
@@ -1858,7 +1774,7 @@ def analyze(paths, mode, build_dir):
     report = {
         "schema": SCHEMA,
         "tool": {"name": "pdc-analyze", "version": TOOL_VERSION},
-        "mode": "libclang+ast-lite" if used_libclang else "ast-lite",
+        "mode": "ast-lite",
         "files_scanned": len(models),
         "checks": [{"id": c.rule_id, "name": c.slug,
                     "description": c.description} for c in CHECKS],
@@ -1892,12 +1808,11 @@ def analyze(paths, mode, build_dir):
     return findings, report
 
 
-def run_cache_key(paths, mode):
+def run_cache_key(paths):
     h = hashlib.sha256()
     for script in ("pdc_analyze.py", "pdc_lint.py"):
         with open(os.path.join(REPO_ROOT, "scripts", script), "rb") as f:
             h.update(f.read())
-    h.update(mode.encode())
     for p in sorted(iter_targets(paths), key=relpath):
         h.update(relpath(p).encode())
         with open(p, "rb") as f:
@@ -1910,10 +1825,6 @@ def main(argv=None) -> int:
         prog="pdc_analyze.py",
         description="whole-program semantic analyzer for the pdc tree")
     parser.add_argument("paths", nargs="*", default=None)
-    parser.add_argument("--mode", default="auto",
-                        choices=["auto", "ast-lite", "libclang"])
-    parser.add_argument("--build-dir",
-                        default=os.path.join(REPO_ROOT, "build"))
     parser.add_argument("--json", metavar="OUT", dest="json_out")
     parser.add_argument("--sarif", metavar="OUT")
     parser.add_argument("--cache-dir",
@@ -1932,7 +1843,7 @@ def main(argv=None) -> int:
     report = None
     cache_file = None
     if not args.no_cache:
-        key = run_cache_key(paths, args.mode)
+        key = run_cache_key(paths)
         cache_file = os.path.join(args.cache_dir, key + ".json")
         if os.path.exists(cache_file):
             with open(cache_file, encoding="utf-8") as f:
@@ -1945,7 +1856,7 @@ def main(argv=None) -> int:
             print("pdc_analyze: cache hit", file=sys.stderr)
 
     if report is None:
-        findings, report = analyze(paths, args.mode, args.build_dir)
+        findings, report = analyze(paths)
         if cache_file:
             os.makedirs(args.cache_dir, exist_ok=True)
             with open(cache_file, "w", encoding="utf-8") as f:

@@ -33,7 +33,7 @@ def analyze_fixture(*names):
             if '#include "mp/serialize.hpp"' in f.read() and \
                     CURSOR not in paths:
                 paths.append(CURSOR)
-    return pdc_analyze.analyze(paths, "ast-lite", "build")
+    return pdc_analyze.analyze(paths)
 
 
 def marker_lines(name, rule_id):
@@ -162,7 +162,7 @@ class LockOrder(unittest.TestCase):
 
     def test_repo_lock_graph_is_acyclic_with_known_edges(self):
         src = os.path.join(pdc_analyze.REPO_ROOT, "src")
-        _, report = pdc_analyze.analyze([src], "ast-lite", "build")
+        _, report = pdc_analyze.analyze([src])
         lo = report["lock_order"]
         self.assertEqual(lo["cycles"], [])
         pairs = {(e["from"], e["to"]) for e in lo["edges"]}
@@ -174,7 +174,7 @@ class LockOrder(unittest.TestCase):
 
     def test_repo_unshared_escapes_all_carry_reasons(self):
         src = os.path.join(pdc_analyze.REPO_ROOT, "src")
-        _, report = pdc_analyze.analyze([src], "ast-lite", "build")
+        _, report = pdc_analyze.analyze([src])
         self.assertGreater(len(report["unshared_fields"]), 0)
         for u in report["unshared_fields"]:
             self.assertTrue(u["reason"], f"bare unshared field: {u}")
@@ -230,21 +230,19 @@ class CodecPairs(unittest.TestCase):
             path = os.path.join(tmp, "pair_codec.cpp")
             with open(path, "w", encoding="utf-8") as f:
                 f.write(scratch)
-            findings, report = pdc_analyze.analyze([path], "ast-lite",
-                                                   "build")
+            findings, report = pdc_analyze.analyze([path])
             self.assertEqual([f.render() for f in findings], [])
             self.assertTrue(all(p["ok"] for p in report["codec_pairs"]))
             with open(path, "w", encoding="utf-8") as f:
                 f.write(scratch.replace("    out.push_back(b_);\n", ""))
-            findings, report = pdc_analyze.analyze([path], "ast-lite",
-                                                   "build")
+            findings, report = pdc_analyze.analyze([path])
             self.assertEqual([f.rule for f in findings], ["PDA500"])
             self.assertIn("never written", findings[0].message)
             self.assertFalse(report["codec_pairs"][0]["ok"])
 
     def test_repo_codec_pairs_are_symmetric_with_reasons(self):
         src = os.path.join(pdc_analyze.REPO_ROOT, "src")
-        _, report = pdc_analyze.analyze([src], "ast-lite", "build")
+        _, report = pdc_analyze.analyze([src])
         pairs = {p["key"]: p for p in report["codec_pairs"]}
         self.assertIn("QuantileSketch::serialize/...", pairs)
         self.assertIn("DecisionTree::serialize/...", pairs)
@@ -281,7 +279,7 @@ class UntrustedFlows(unittest.TestCase):
 
     def test_repo_has_no_untrusted_flows(self):
         src = os.path.join(pdc_analyze.REPO_ROOT, "src")
-        _, report = pdc_analyze.analyze([src], "ast-lite", "build")
+        _, report = pdc_analyze.analyze([src])
         self.assertEqual(report["untrusted_flows"], [])
         self.assertEqual(report["summary"]["untrusted_flows"], 0)
 
@@ -339,10 +337,10 @@ class RunCache(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             src = os.path.join(tmp, "f.cpp")
             shutil.copy(os.path.join(FIXTURES, "good_clean.cpp"), src)
-            k1 = pdc_analyze.run_cache_key([src], "ast-lite")
+            k1 = pdc_analyze.run_cache_key([src])
             with open(src, "a", encoding="utf-8") as f:
                 f.write("// changed\n")
-            k2 = pdc_analyze.run_cache_key([src], "ast-lite")
+            k2 = pdc_analyze.run_cache_key([src])
             self.assertNotEqual(k1, k2)
 
 
@@ -355,12 +353,11 @@ class CliDriver(unittest.TestCase):
 
     def test_repo_src_tree_is_clean(self):
         src = os.path.join(pdc_analyze.REPO_ROOT, "src")
-        self.assertEqual(pdc_analyze.main(["--no-cache", "--mode",
-                                           "ast-lite", src]), 0)
+        self.assertEqual(pdc_analyze.main(["--no-cache", src]), 0)
 
     def test_repo_incore_zones_all_carry_reasons(self):
         src = os.path.join(pdc_analyze.REPO_ROOT, "src")
-        _, report = pdc_analyze.analyze([src], "ast-lite", "build")
+        _, report = pdc_analyze.analyze([src])
         self.assertGreater(len(report["incore_zones"]), 0)
         for zone in report["incore_zones"]:
             self.assertTrue(zone["reason"], f"bare zone: {zone}")

@@ -44,8 +44,8 @@ struct CloudsConfig {
   std::int64_t min_records = 2;
   std::int32_t max_depth = 24;
 
-  /// Async double-buffered streaming for the out-of-core passes; off by
-  /// default (the synchronous path is the differential-test oracle).
+  /// Async double-buffered streaming for the out-of-core passes; queue
+  /// depth 0 by default (the synchronous stream, the test oracle).
   io::PipelineConfig pipeline;
 
   /// Interval budget for a node of n records out of n_root.

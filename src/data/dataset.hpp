@@ -13,18 +13,19 @@
 #include "data/partition.hpp"
 #include "data/record.hpp"
 #include "io/local_disk.hpp"
+#include "io/pipeline.hpp"
 
 namespace pdc::data {
 
 /// Writes rank `rank`'s randomly-assigned slice of the global dataset to
-/// `name` on `disk`, streaming `block_records` per request.  Returns the
-/// number of records written.
+/// `name` on `disk`, streaming `block_records` per request at queue depth
+/// 0.  Returns the number of records written.
 inline std::uint64_t materialize_local_slice(const AgrawalGenerator& gen,
                                              const DatasetPartition& part,
                                              int rank, io::LocalDisk& disk,
                                              const std::string& name,
                                              std::size_t block_records) {
-  io::RecordWriter<Record> writer(disk, name, block_records);
+  io::BlockWriter<Record> writer(disk, name, block_records);
   for (std::uint64_t i = 0; i < part.total_records(); ++i) {
     if (part.owner_of(i) == rank) writer.append(gen.make(i));
   }

@@ -78,8 +78,8 @@ struct DcConfig {
   /// exists on the ranks' disks; otherwise run from scratch.
   bool resume = false;
   /// Async double-buffered streaming for the out-of-core hot paths
-  /// (statistics scans, partition pass, redistribution spool).  Off by
-  /// default: the synchronous path is the differential-test oracle.
+  /// (statistics scans, partition pass, redistribution spool).  Queue
+  /// depth 0 by default: the synchronous stream, the test oracle.
   io::PipelineConfig pipeline;
 };
 

@@ -191,19 +191,9 @@ bool RankFault::matches(const FaultSpec& spec, FaultSite site,
   return ops_[static_cast<std::size_t>(site)] == spec.op;
 }
 
-DiskAction RankFault::on_disk(bool is_write) {
-  if (!enabled()) return DiskAction::kProceed;
-  LockGuard lock(mu_);
-  return on_disk_locked(is_write, now());
-}
-
 DiskAction RankFault::on_disk(bool is_write, double now_s) {
   if (!enabled()) return DiskAction::kProceed;
   LockGuard lock(mu_);
-  return on_disk_locked(is_write, now_s);
-}
-
-DiskAction RankFault::on_disk_locked(bool is_write, double now_s) {
   const FaultSite site =
       is_write ? FaultSite::kDiskWrite : FaultSite::kDiskRead;
 

@@ -14,10 +14,10 @@
 // RankTracer): operation counters advance as the rank issues disk requests
 // and communication primitives, and a spec fires when its counter, rank and
 // modeled-time conditions are all met.  Disk faults are reported to the
-// caller (io::LocalDisk implements retry-with-backoff and torn writes on
-// top of them); communication faults throw CommFault directly, which the
-// SPMD runtime turns into a whole-run abort — the "rank died" scenario that
-// checkpoint/restart recovers from.
+// caller (io::execute, the one disk request executor, implements
+// retry-with-backoff and torn writes on top of them); communication faults
+// throw CommFault directly, which the SPMD runtime turns into a whole-run
+// abort — the "rank died" scenario that checkpoint/restart recovers from.
 
 #include <array>
 #include <cstdint>
@@ -150,13 +150,10 @@ class RankFault {
 
   /// Consult before a disk request attempt.  Triggered specs drain their
   /// remaining failure count first, so the retries of one logical request
-  /// keep failing until the spec is spent.
-  DiskAction on_disk(bool is_write);
-
-  /// Same, with an explicit modeled timestamp for `after_s` arming —
-  /// used from the async I/O worker, which must not read the rank's live
-  /// clock (the rank thread mutates it concurrently).  The caller passes
-  /// the request's issue-time snapshot instead.
+  /// keep failing until the spec is spent.  `now_s` arms `after_s` specs:
+  /// the request's modeled issue time plus the backoff it has slept so
+  /// far, never the rank's live clock, which the rank thread keeps moving
+  /// while the disk worker runs a queued request.
   DiskAction on_disk(bool is_write, double now_s);
 
   /// Consult at the entry of a collective primitive; throws CommFault when
@@ -173,7 +170,6 @@ class RankFault {
   double now() const { return clock_ ? clock_->total() : 0.0; }
   bool matches(const FaultSpec& spec, FaultSite site, double now_s) const
       PDC_REQUIRES(mu_);
-  DiskAction on_disk_locked(bool is_write, double now_s) PDC_REQUIRES(mu_);
 
   // pdc: unshared(armed by init and the constructor before any
   // concurrent use and read-only thereafter; both threads only read it)

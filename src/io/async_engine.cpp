@@ -11,14 +11,14 @@ AsyncEngine::~AsyncEngine() {
   if (worker_.joinable()) worker_.join();
 }
 
-std::shared_ptr<AsyncSlot> AsyncEngine::submit(AsyncRequest req) {
+std::shared_ptr<AsyncSlot> AsyncEngine::submit(const DiskRequest& req) {
   auto slot = std::make_shared<AsyncSlot>();
   {
     LockGuard lock(mu_);
     if (!worker_.joinable()) {
       worker_ = std::thread([this] { run(); });
     }
-    queue_.emplace_back(std::move(req), slot);
+    queue_.emplace_back(req, slot);
   }
   cv_.notify_one();
   return slot;
@@ -26,7 +26,7 @@ std::shared_ptr<AsyncSlot> AsyncEngine::submit(AsyncRequest req) {
 
 void AsyncEngine::run() {
   for (;;) {
-    std::pair<AsyncRequest, std::shared_ptr<AsyncSlot>> item;
+    std::pair<DiskRequest, std::shared_ptr<AsyncSlot>> item;
     {
       LockGuard lock(mu_);
       while (!stop_ && queue_.empty()) {
@@ -44,55 +44,56 @@ void AsyncEngine::run() {
   }
 }
 
-AsyncOutcome AsyncEngine::execute(const AsyncRequest& req) {
-  // pdc: io-wrapper(device-thread work: the issuing rank pays on the modeled clock at LocalDisk::settle_async)
-  AsyncOutcome out;
+DiskOutcome execute(const DiskRequest& req) {
+  // pdc: io-wrapper(runs one request's attempts and transfer; the issuing rank books it on the modeled clock at LocalDisk::settle)
+  DiskOutcome out;
   if (req.poison && req.poison->load(std::memory_order_acquire)) {
-    out.status = AsyncStatus::kSkipped;
+    out.status = DiskStatus::kSkipped;
     return out;
   }
+  const auto die = [&](DiskStatus status) {
+    if (req.poison) req.poison->store(true, std::memory_order_release);
+    out.status = status;
+    return out;
+  };
 
+  bool tear = false;
   if (req.fault != nullptr && req.fault->enabled()) {
-    double backoff = req.retry.backoff_s;
+    double slept = 0.0;
     for (int attempt = 1;; ++attempt) {
-      // Arm `after_s` specs against the request's modeled issue time plus
-      // the backoff accrued so far — the async analogue of the live clock
-      // the synchronous path reads between attempts.
       const auto action =
-          req.fault->on_disk(req.is_write, req.issue_time_s + out.backoff_s);
+          req.fault->on_disk(req.is_write, req.issue_time_s + slept);
       if (action == fault::DiskAction::kProceed) break;
       if (action == fault::DiskAction::kTear) {
-        const std::size_t torn = req.bytes / 2;
-        if (torn != 0) {
-          std::fwrite(req.src, 1, torn, req.file);
-        }
-        std::fflush(req.file);  // make the partial prefix durable
-        if (req.poison) req.poison->store(true, std::memory_order_release);
-        out.status = AsyncStatus::kTorn;
-        out.torn_bytes = torn;
-        return out;
+        tear = true;
+        break;
       }
       ++out.failures;
-      if (attempt >= req.retry.max_attempts) {
-        if (req.poison) req.poison->store(true, std::memory_order_release);
-        out.status = AsyncStatus::kFailed;
-        return out;
-      }
-      out.backoff_s += backoff;
-      ++out.backoffs;
-      backoff *= req.retry.multiplier;
+      if (attempt >= req.retry.max_attempts) return die(DiskStatus::kFailed);
+      slept += req.retry.delay(out.backoffs++);
     }
   }
 
+  FilePtr owned;
+  std::FILE* file = req.file;
+  if (file == nullptr) {
+    owned.reset(std::fopen(req.path, req.is_write ? "wb" : "rb"));
+    file = owned.get();
+    if (file == nullptr) return die(DiskStatus::kIoError);
+  }
+  if (tear) {
+    // A crash mid-write: half the payload's bytes land on disk (the cut
+    // need not fall on a record boundary), then the request dies.
+    out.torn_bytes = req.bytes / 2;
+    if (out.torn_bytes != 0) std::fwrite(req.src, 1, out.torn_bytes, file);
+    std::fflush(file);  // make the partial prefix durable
+    return die(DiskStatus::kTorn);
+  }
   if (req.bytes != 0) {
     const std::size_t done =
-        req.is_write ? std::fwrite(req.src, 1, req.bytes, req.file)
-                     : std::fread(req.dst, 1, req.bytes, req.file);
-    if (done != req.bytes) {
-      if (req.poison) req.poison->store(true, std::memory_order_release);
-      out.status = AsyncStatus::kIoError;
-      return out;
-    }
+        req.is_write ? std::fwrite(req.src, 1, req.bytes, file)
+                     : std::fread(req.dst, 1, req.bytes, file);
+    if (done != req.bytes) return die(DiskStatus::kIoError);
   }
   return out;
 }

@@ -1,27 +1,32 @@
 #pragma once
 
-// AsyncEngine: one background I/O worker per LocalDisk.
+// The one disk request path, and the background worker it may run on.
 //
-// The pipeline's prefetch and write-behind requests are enqueued FIFO from
-// the rank thread and executed in order on a single worker thread, so the
-// per-site fault-injection counters observe exactly the program-order
-// sequence of disk requests — scenarios replay deterministically even
-// though the real I/O happens off-thread.  The worker consults the fault
-// injector itself (faults genuinely fire on the prefetch thread) but never
-// touches the rank's modeled clock or tracer: every attempt's verdict,
-// retry backoff and tear is recorded into the request's AsyncOutcome, and
-// the rank thread books all modeled time when it reaps the completion.
+// Every disk request -- one block of a record stream, or a whole file -- is
+// a DiskRequest run by execute(): the fault loop (consult the injector
+// attempt by attempt, back off on a transient failure, tear, or give up
+// once the retry budget is spent) and then the real fread/fwrite.
+// LocalDisk runs it inline on the rank thread for whole-file requests and
+// for streams at queue depth 0; a deeper stream queues it on AsyncEngine,
+// the disk's single worker thread.  execute() never touches the rank's
+// modeled clock or tracer: it records every attempt's verdict, backoff and
+// tear in the DiskOutcome, and the rank thread books the modeled time when
+// it settles the request (LocalDisk::settle).
 //
-// A torn or permanently-failed request poisons its stream: requests queued
-// behind it are skipped (no real I/O, no injector consult), mirroring the
-// synchronous path where the throw prevents later requests from ever being
-// issued.
+// The worker runs requests FIFO in the order the rank thread queued them,
+// so the per-site fault-injection counters see the program-order sequence
+// of disk requests at every queue depth, and scenarios replay
+// deterministically even though the real I/O happens off-thread.
+//
+// A torn, failed or short request poisons its stream: the stream's later
+// requests are skipped (no real I/O, no injector consult), so nothing is
+// read or written behind a request that died.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdio>
 #include <deque>
 #include <memory>
-#include <string>
 #include <thread>
 #include <utility>
 
@@ -38,51 +43,75 @@ struct RetryPolicy {
   int max_attempts = 4;
   double backoff_s = 8e-3;  ///< ~ one disk positioning delay
   double multiplier = 2.0;
+
+  /// The sleep before retry `i` (0-based), the one backoff schedule:
+  /// execute() arms `after_s` faults by it and LocalDisk::settle charges
+  /// the modeled clock by it.
+  double delay(int i) const {
+    double d = backoff_s;
+    for (int k = 0; k < i; ++k) d *= multiplier;
+    return d;
+  }
 };
 
-enum class AsyncStatus {
+struct FileCloser {
+  void operator()(std::FILE* f) const {
+    if (f) std::fclose(f);
+  }
+};
+using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
+enum class DiskStatus {
   kOk,       ///< real I/O performed (possibly after absorbed retries)
   kFailed,   ///< injected failures exhausted the retry budget
   kTorn,     ///< injected torn write: partial prefix on disk, stream dead
-  kSkipped,  ///< stream was already poisoned; nothing touched the disk
-  kIoError,  ///< the real fread/fwrite came up short
+  kSkipped,  ///< stream already dead: nothing touched the disk or injector
+  kIoError,  ///< the file would not open or the fread/fwrite came up short
 };
 
-/// Everything the rank thread needs to settle one completed request:
-/// status plus the fault-retry ledger to mirror onto the modeled clock.
-struct AsyncOutcome {
-  AsyncStatus status = AsyncStatus::kOk;
-  int failures = 0;          ///< injected transient failures observed
-  int backoffs = 0;          ///< modeled backoff sleeps taken
-  double backoff_s = 0.0;    ///< total modeled backoff to charge
+/// Everything the rank thread needs to settle one executed request: its
+/// status plus the fault-retry ledger to replay onto the modeled clock.
+struct DiskOutcome {
+  DiskStatus status = DiskStatus::kOk;
+  int failures = 0;            ///< injected transient failures observed
+  int backoffs = 0;            ///< RetryPolicy::delay(0..backoffs-1) slept
   std::size_t torn_bytes = 0;  ///< bytes left on disk by a torn write
 };
 
-struct AsyncRequest {
+struct DiskRequest {
+  /// The stream's open file.  Null for a whole-file request, which opens
+  /// `path` ("wb" or "rb") only once the fault loop lets it through, so a
+  /// write that gives up leaves the old file as it was.
   std::FILE* file = nullptr;
+  const char* path = nullptr;
   bool is_write = false;
   void* dst = nullptr;        ///< read destination (owned by the caller)
   const void* src = nullptr;  ///< write source (owned by the caller)
   std::size_t bytes = 0;
-  /// Modeled clock at enqueue; the worker uses it (plus accumulated
-  /// backoff) for `after_s` fault arming instead of reading the live clock.
+  /// Modeled clock at issue; `after_s` fault arming reads it plus the
+  /// backoff slept so far, never the live clock (which the rank thread
+  /// keeps moving while the worker runs the request).
   double issue_time_s = 0.0;
-  std::string name;  ///< file name, for error messages only
   fault::RankFault* fault = nullptr;
   RetryPolicy retry{};
-  /// Shared per-stream tear/fail flag; set by the worker, checked before
-  /// every queued request of the same stream.
-  std::shared_ptr<std::atomic<bool>> poison;
+  /// The stream's poison flag (null for a whole-file request): set by the
+  /// request that dies, checked first by every later one.  The stream owns
+  /// it and outlives its requests.
+  std::atomic<bool>* poison = nullptr;
 };
 
-/// Completion slot for one request; the caller blocks in wait() until the
-/// worker publishes the outcome.
+/// Runs one request: the fault loop, then the transfer (or the torn
+/// prefix).  Thread-safe for requests of distinct streams.
+DiskOutcome execute(const DiskRequest& req);
+
+/// Completion slot for one queued request; the caller blocks in wait()
+/// until the worker publishes the outcome.
 class AsyncSlot {
  public:
   /// Blocks until the worker publishes the outcome.  The returned
   /// reference stays valid without the lock: complete() runs exactly once,
   /// and the worker never touches the slot again after setting done_.
-  const AsyncOutcome& wait() {
+  const DiskOutcome& wait() {
     LockGuard lock(mu_);
     while (!done_) {
       cv_.wait(lock);
@@ -93,7 +122,7 @@ class AsyncSlot {
  private:
   friend class AsyncEngine;
 
-  void complete(const AsyncOutcome& out) {
+  void complete(const DiskOutcome& out) {
     {
       LockGuard lock(mu_);
       out_ = out;
@@ -105,9 +134,11 @@ class AsyncSlot {
   Mutex mu_;
   CondVar cv_;
   bool done_ PDC_GUARDED_BY(mu_) = false;
-  AsyncOutcome out_ PDC_GUARDED_BY(mu_);
+  DiskOutcome out_ PDC_GUARDED_BY(mu_);
 };
 
+/// One background worker per LocalDisk, running execute() on the requests
+/// of streams deeper than queue depth 0.
 class AsyncEngine {
  public:
   AsyncEngine() = default;
@@ -117,12 +148,11 @@ class AsyncEngine {
   AsyncEngine& operator=(const AsyncEngine&) = delete;
 
   /// Enqueue one request; lazily starts the worker thread on first use
-  /// (a synchronous-only run never spawns it).
-  std::shared_ptr<AsyncSlot> submit(AsyncRequest req);
+  /// (a run whose streams all have queue depth 0 never spawns it).
+  std::shared_ptr<AsyncSlot> submit(const DiskRequest& req);
 
  private:
   void run();
-  static AsyncOutcome execute(const AsyncRequest& req);
 
   // pdc: unshared(only the owning rank thread touches the handle -- in
   // submit to lazily spawn and in the destructor to join; the worker
@@ -130,7 +160,7 @@ class AsyncEngine {
   std::thread worker_;
   Mutex mu_;
   CondVar cv_;
-  std::deque<std::pair<AsyncRequest, std::shared_ptr<AsyncSlot>>> queue_
+  std::deque<std::pair<DiskRequest, std::shared_ptr<AsyncSlot>>> queue_
       PDC_GUARDED_BY(mu_);
   bool stop_ PDC_GUARDED_BY(mu_) = false;
 };

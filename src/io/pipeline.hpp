@@ -1,28 +1,36 @@
 #pragma once
 
-// Double-buffered asynchronous block streams over LocalDisk.
+// Record streams over LocalDisk: BlockReader and BlockWriter move
+// fixed-size records `block_records` at a time, one disk request per block,
+// and are the library's only record streams.
 //
-// BlockReader prefetches up to `queue_depth` blocks ahead on the disk's
-// background worker while the rank consumes the current one; BlockWriter
-// buffers a block and hands it to the worker (write-behind), reaping the
-// oldest outstanding request when the window is full.  Modeled-time
-// accounting is overlap-aware: at reap the rank is charged only the stall
-// past the request's scheduled completion on the single modeled disk arm
-// (LocalDisk::plan_async / settle_async), so per block the charge is
-// max(compute-between-reaps, io) instead of the sum — the paper's
+// PipelineConfig::queue_depth picks where each request runs.  At depth 0
+// (the default) the stream runs it inline on the rank thread and is
+// charged its full modeled cost: the synchronous stream, and the oracle
+// every differential test compares against.  The reader then fills the
+// caller's vector and the writer keeps one buffer, so a block costs no
+// allocation.  At depth N >= 1 the reader keeps up to N blocks in flight on
+// the disk's worker (read-ahead) and the writer hands each full block to it
+// (write-behind), reaping the oldest outstanding request when the window is
+// full.  Modeled time is then overlap-aware: at reap the rank is charged
+// only the stall past the request's scheduled completion on the single
+// modeled disk arm (LocalDisk::submit / reap), so per block the charge is
+// max(compute-between-reaps, io) instead of the sum -- the paper's
 // compute-independent parallel I/O.  io_hidden_s records what was hidden.
-//
-// With PipelineConfig.enabled == false both classes delegate verbatim to
-// the synchronous RecordReader/RecordWriter, which makes the synchronous
-// path the oracle for differential tests: identical bytes, identical
-// modeled charges, no worker thread.
+// Every depth runs the same executor (io::execute), so faults retry, tear
+// and give up alike.  A request that dies kills its stream: the worker
+// skips the requests queued behind it, and every later next_block(),
+// append() that flushes, or close() throws fault::DiskFault
+// (LocalDisk::stream_failed) instead of reporting data never moved.
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
 #include <deque>
 #include <functional>
-#include <memory>
-#include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,14 +38,14 @@
 
 namespace pdc::io {
 
-/// Tuning for the async pipeline; default-constructed = synchronous.
+/// Tuning for the block streams: requests each stream keeps in flight on
+/// the disk's worker (2 = classic double buffering).  0, the default, is
+/// the synchronous stream.
 struct PipelineConfig {
-  bool enabled = false;
-  /// Outstanding async requests per stream (2 = classic double buffering).
-  std::size_t queue_depth = 2;
+  std::size_t queue_depth = 0;
 };
 
-/// Streams fixed-size records with background read-ahead.
+/// Streams fixed-size records, with read-ahead at queue depth >= 1.
 template <mp::Wireable T>
 class BlockReader {
  public:
@@ -45,26 +53,21 @@ class BlockReader {
               std::size_t block_records, const PipelineConfig& cfg = {})
       : disk_(&disk),
         name_(name),
-        block_records_(std::max<std::size_t>(1, block_records)) {
-    // pdc: io-wrapper(opens the stream only; each block request is charged at LocalDisk::settle_async)
-    if (!cfg.enabled) {
-      sync_.emplace(disk, name, block_records_);
-      return;
-    }
-    depth_ = std::max<std::size_t>(1, cfg.queue_depth);
-    file_ = LocalDisk::FilePtr(std::fopen(disk.path_of(name).c_str(), "rb"));
+        block_records_(std::max<std::size_t>(1, block_records)),
+        depth_(cfg.queue_depth) {
+    // pdc: io-wrapper(opens the stream only; each block request is charged at LocalDisk::settle)
+    file_.reset(std::fopen(disk.path_of(name).c_str(), "rb"));
     if (!file_) throw std::runtime_error("BlockReader: cannot open " + name);
     remaining_ = disk.file_records<T>(name);
     unrequested_ = remaining_;
-    poison_ = std::make_shared<std::atomic<bool>>(false);
     refill();
   }
 
   /// The worker may still be filling our buffers: wait out every pending
-  /// request (without charging — settlement is the success path's job)
-  /// before the buffers and the FILE* die.
+  /// request (without charging -- settlement is the success path's job)
+  /// before the buffers, the poison flag and the FILE* die.
   ~BlockReader() {
-    for (auto& p : pending_) p.slot->wait();
+    for (auto& p : pending_) p.queued.slot->wait();
   }
 
   BlockReader(const BlockReader&) = delete;
@@ -72,51 +75,52 @@ class BlockReader {
 
   /// Reads the next block into `out` (replacing its contents).  Returns
   /// false when the file is exhausted; ignoring it loses EOF (PDC003).
+  /// After a throw, `out`'s contents are unspecified and the stream is
+  /// dead: every later call throws too.
   [[nodiscard]] bool next_block(std::vector<T>& out) {
-    if (sync_) return sync_->next_block(out);
     out.clear();
-    if (pending_.empty()) return false;
-    Pending p = std::move(pending_.front());
-    pending_.pop_front();
-    const auto& res = p.slot->wait();
-    disk_->settle_async(res, p.plan, p.bytes, /*is_write=*/false, name_);
-    out = std::move(p.buf);
+    if (remaining_ == 0) return false;
+    if (failed_) throw LocalDisk::stream_failed(/*is_write=*/false, name_);
+    failed_ = true;  // until this block has settled
+    if (depth_ == 0) {
+      out.resize(std::min(block_records_, remaining_));
+      disk_->run_inline(request(out), name_);
+    } else {
+      Pending p = std::move(pending_.front());
+      pending_.pop_front();
+      disk_->reap(p.queued, p.buf.size() * sizeof(T), /*is_write=*/false,
+                  name_);
+      out = std::move(p.buf);
+      refill();
+    }
+    failed_ = false;
     remaining_ -= out.size();
-    refill();
     return true;
   }
 
-  std::size_t remaining() const {
-    return sync_ ? sync_->remaining() : remaining_;
-  }
+  std::size_t remaining() const { return remaining_; }
 
  private:
   struct Pending {
     std::vector<T> buf;
-    std::size_t bytes = 0;
-    LocalDisk::AsyncPlan plan;
-    std::shared_ptr<AsyncSlot> slot;
+    LocalDisk::Queued queued;
   };
 
+  DiskRequest request(std::vector<T>& buf) {
+    return {.file = file_.get(),
+            .dst = buf.data(),
+            .bytes = buf.size() * sizeof(T),
+            .poison = &poison_};
+  }
+
+  /// Keeps `depth_` blocks queued on the worker (none at depth 0).
   void refill() {
     while (pending_.size() < depth_ && unrequested_ > 0) {
       const std::size_t n = std::min(block_records_, unrequested_);
       unrequested_ -= n;
       Pending p;
       p.buf.resize(n);
-      p.bytes = n * sizeof(T);
-      p.plan = disk_->plan_async(p.bytes, /*is_write=*/false);
-      AsyncRequest req;
-      req.file = file_.get();
-      req.is_write = false;
-      req.dst = p.buf.data();
-      req.bytes = p.bytes;
-      req.issue_time_s = disk_->clock().total();
-      req.name = name_;
-      req.fault = disk_->fault_;
-      req.retry = disk_->retry_;
-      req.poison = poison_;
-      p.slot = disk_->engine_.submit(std::move(req));
+      p.queued = disk_->submit(request(p.buf));
       pending_.push_back(std::move(p));
     }
   }
@@ -124,17 +128,20 @@ class BlockReader {
   LocalDisk* disk_;
   std::string name_;
   std::size_t block_records_;
-  std::optional<RecordReader<T>> sync_;  ///< engaged when pipeline is off
-
-  LocalDisk::FilePtr file_;
-  std::size_t depth_ = 1;
+  std::size_t depth_;
+  FilePtr file_;
   std::size_t remaining_ = 0;    ///< records not yet returned
-  std::size_t unrequested_ = 0;  ///< records not yet submitted to the worker
-  /// Shared with the disk worker thread, which stores true (release) on a
-  /// torn/failed/short request; the rank thread and later worker requests
-  /// load it with acquire.  The atomic is the only cross-thread field of
-  /// this class -- everything else is confined to the owning rank thread.
-  std::shared_ptr<std::atomic<bool>> poison_;
+  std::size_t unrequested_ = 0;  ///< records not yet queued on the worker
+  /// Set by the rank thread when a call throws: the stream is dead.  Unlike
+  /// poison_, it changes only in program order, so every depth fails the
+  /// same later calls.
+  bool failed_ = false;
+  /// Set by io::execute when one of this stream's requests dies, so the
+  /// requests queued behind it are skipped.  At depth >= 1 the worker
+  /// stores it (release) and later requests load it (acquire).  It is the
+  /// only field the worker touches; the blocks it fills are read by the
+  /// rank thread only after their reap.
+  std::atomic<bool> poison_{false};
   std::deque<Pending> pending_;
 };
 
@@ -158,9 +165,10 @@ Scan<T> file_scan(LocalDisk& disk, std::string name, std::size_t block_records,
   };
 }
 
-/// Appends fixed-size records with background write-behind.  Close (or
-/// destroy) to flush; faults surface on close()/append(), never in the
-/// destructor (parity with RecordWriter).
+/// Appends fixed-size records, with write-behind at queue depth >= 1.
+/// Close (or destroy) to flush; faults surface on append() or close(),
+/// never in the destructor.  After a fault the stream is dead: every later
+/// append() that flushes a block, and close(), throws too.
 template <mp::Wireable T>
 class BlockWriter {
  public:
@@ -169,41 +177,34 @@ class BlockWriter {
               bool append = false)
       : disk_(&disk),
         name_(name),
-        block_records_(std::max<std::size_t>(1, block_records)) {
-    // pdc: io-wrapper(opens the stream only; each block request is charged at LocalDisk::settle_async)
-    if (!cfg.enabled) {
-      sync_.emplace(disk, name, block_records_, append);
-      return;
-    }
-    depth_ = std::max<std::size_t>(1, cfg.queue_depth);
-    file_ = LocalDisk::FilePtr(
-        std::fopen(disk.path_of(name).c_str(), append ? "ab" : "wb"));
+        block_records_(std::max<std::size_t>(1, block_records)),
+        depth_(cfg.queue_depth) {
+    // pdc: io-wrapper(opens the stream only; each block request is charged at LocalDisk::settle)
+    file_.reset(std::fopen(disk.path_of(name).c_str(), append ? "ab" : "wb"));
     if (!file_) throw std::runtime_error("BlockWriter: cannot open " + name);
-    poison_ = std::make_shared<std::atomic<bool>>(false);
     buffer_.reserve(block_records_);
   }
 
+  /// Destruction flushes, but swallows disk faults: the destructor may be
+  /// running during unwinding from another fault, and the writing code is
+  /// expected to close() explicitly on its success path (where faults DO
+  /// propagate).  A close() abandoned by a fault leaves later requests
+  /// outstanding: wait them out so the worker stops touching our buffers.
   ~BlockWriter() {
     try {
       close();
     } catch (...) {
     }
-    // A close() abandoned by a fault leaves later requests outstanding:
-    // wait them out so the worker stops touching our buffers.
-    for (auto& p : pending_) p.slot->wait();
+    for (auto& p : pending_) p.queued.slot->wait();
   }
 
   BlockWriter(const BlockWriter&) = delete;
   BlockWriter& operator=(const BlockWriter&) = delete;
 
   void append(const T& rec) {
-    if (sync_) {
-      sync_->append(rec);
-      return;
-    }
     buffer_.push_back(rec);
     ++count_;
-    if (buffer_.size() >= block_records_) enqueue();
+    if (buffer_.size() >= block_records_) flush();
   }
 
   void append(std::span<const T> recs) {
@@ -211,69 +212,68 @@ class BlockWriter {
   }
 
   void close() {
-    if (sync_) {
-      sync_->close();
-      return;
-    }
     if (!file_) return;
-    enqueue();
+    flush();
     while (!pending_.empty()) reap_front();
     file_.reset();
   }
 
   /// Records appended so far (flushed or not).
-  std::size_t count() const { return sync_ ? sync_->count() : count_; }
+  std::size_t count() const { return count_; }
 
  private:
   struct Pending {
     std::vector<T> buf;
-    std::size_t bytes = 0;
-    LocalDisk::AsyncPlan plan;
-    std::shared_ptr<AsyncSlot> slot;
+    LocalDisk::Queued queued;
   };
 
-  void enqueue() {
-    if (buffer_.empty()) return;
+  DiskRequest request(const std::vector<T>& buf) {
+    return {.file = file_.get(),
+            .is_write = true,
+            .src = buf.data(),
+            .bytes = buf.size() * sizeof(T),
+            .poison = &poison_};
+  }
+
+  /// One request for the buffered block: written inline from the one
+  /// buffer at depth 0, else handed to the worker with the buffer.
+  void flush() {
+    if (failed_) throw LocalDisk::stream_failed(/*is_write=*/true, name_);
+    if (buffer_.empty() || !file_) return;
+    if (depth_ == 0) {
+      failed_ = true;  // until the block has settled
+      disk_->run_inline(request(buffer_), name_);
+      failed_ = false;
+      buffer_.clear();
+      return;
+    }
     if (pending_.size() >= depth_) reap_front();
     Pending p;
     p.buf = std::move(buffer_);
     buffer_.clear();
     buffer_.reserve(block_records_);
-    p.bytes = p.buf.size() * sizeof(T);
-    p.plan = disk_->plan_async(p.bytes, /*is_write=*/true);
-    AsyncRequest req;
-    req.file = file_.get();
-    req.is_write = true;
-    req.src = p.buf.data();
-    req.bytes = p.bytes;
-    req.issue_time_s = disk_->clock().total();
-    req.name = name_;
-    req.fault = disk_->fault_;
-    req.retry = disk_->retry_;
-    req.poison = poison_;
-    p.slot = disk_->engine_.submit(std::move(req));
+    p.queued = disk_->submit(request(p.buf));
     pending_.push_back(std::move(p));
   }
 
   void reap_front() {
     Pending p = std::move(pending_.front());
     pending_.pop_front();
-    const auto& res = p.slot->wait();
-    disk_->settle_async(res, p.plan, p.bytes, /*is_write=*/true, name_);
+    failed_ = true;  // until the block has settled
+    disk_->reap(p.queued, p.buf.size() * sizeof(T), /*is_write=*/true, name_);
+    failed_ = false;
   }
 
   LocalDisk* disk_;
   std::string name_;
   std::size_t block_records_;
-  std::optional<RecordWriter<T>> sync_;  ///< engaged when pipeline is off
-
-  LocalDisk::FilePtr file_;
-  std::size_t depth_ = 1;
+  std::size_t depth_;
+  FilePtr file_;
   std::vector<T> buffer_;
   std::size_t count_ = 0;
-  /// Cross-thread tear/fail flag; same acquire/release contract as
-  /// BlockReader::poison_.
-  std::shared_ptr<std::atomic<bool>> poison_;
+  /// Same contracts as BlockReader::failed_ and BlockReader::poison_.
+  bool failed_ = false;
+  std::atomic<bool> poison_{false};
   std::deque<Pending> pending_;
 };
 

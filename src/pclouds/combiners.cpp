@@ -247,7 +247,7 @@ BoundaryDerivation derive_distributed(mp::Comm& comm, const NodeStats& local,
     if (comm.rank() == owner) {
       std::vector<std::int64_t> sum(flat.size(), 0);
       for (const auto& part : gathered) {
-        for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += part[i];
+        add_counts(sum, part);
       }
       for (std::size_t j = 0; j < hist.freq.size(); ++j) {
         for (int k = 0; k < data::kNumClasses; ++k) {
@@ -329,8 +329,9 @@ BoundaryDerivation derive_voting(mp::Comm& comm, const NodeStats& local,
                                  int vote_k, int hist_bits, bool want_alive,
                                  const clouds::CostHooks& hooks,
                                  VotingDiag* diag) {
-  if (vote_k < 1) {
-    throw std::invalid_argument("pclouds: vote_k must be >= 1");
+  if (vote_k < 1) throw std::invalid_argument("pclouds: vote_k must be >= 1");
+  if (hist_bits < 0 || hist_bits > 62) {  // quantize_count shifts by it
+    throw std::invalid_argument("pclouds: hist_bits must be in [0, 62]");
   }
   VotingDiag scratch;
   VotingDiag& vd = diag != nullptr ? *diag : scratch;
@@ -355,8 +356,7 @@ BoundaryDerivation derive_voting(mp::Comm& comm, const NodeStats& local,
     }
     std::sort(local_best.begin(), local_best.end());
     std::vector<VoteNomination> noms(static_cast<std::size_t>(vote_k));
-    for (std::size_t i = 0;
-         i < noms.size() && i < local_best.size(); ++i) {
+    for (std::size_t i = 0; i < noms.size() && i < local_best.size(); ++i) {
       noms[i].attr = static_cast<std::int32_t>(local_best[i].second);
       noms[i].gini = local_best[i].first;
     }
@@ -377,7 +377,7 @@ BoundaryDerivation derive_voting(mp::Comm& comm, const NodeStats& local,
     std::vector<std::int64_t> sum(flat_len, 0);
     for (const auto& b : blobs) {
       const auto flat = decode_voted_stats(b, flat_len);
-      for (std::size_t i = 0; i < flat_len; ++i) sum[i] += flat[i];
+      add_counts(sum, flat);
     }
 
     // The replication method would have shipped every attribute's counts

@@ -76,17 +76,35 @@ inline void decode_stats(std::span<const std::byte> blob,
   }
 }
 
+/// a + b where either came from another rank: a count that leaves the
+/// int64 range is a corrupt or forged blob, never a real count.
+inline std::int64_t checked_sum(std::int64_t a, std::int64_t b) {
+  std::int64_t sum = 0;
+  if (__builtin_add_overflow(a, b, &sum)) {
+    throw WireError("pclouds: stats count leaves the int64 range");
+  }
+  return sum;
+}
+
+/// acc += part, element by element, with checked_sum: the merge of count
+/// vectors gathered from other ranks.
+inline void add_counts(std::span<std::int64_t> acc,
+                       std::span<const std::int64_t> part) {
+  if (acc.size() != part.size()) {
+    throw WireError("pclouds: stats count vectors differ in length");
+  }
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    acc[i] = checked_sum(acc[i], part[i]);
+  }
+}
+
 /// Element-wise sum of two encoded blobs (empty acts as identity).
 inline std::vector<std::byte> combine_stats_blobs(
     std::vector<std::byte> a, const std::vector<std::byte>& b) {
   if (a.empty()) return b;
   if (b.empty()) return a;
   auto fa = mp::from_bytes<std::int64_t>(a);
-  const auto fb = mp::from_bytes<std::int64_t>(b);
-  if (fa.size() != fb.size()) {
-    throw WireError("pclouds: stats blob length mismatch in combine");
-  }
-  for (std::size_t i = 0; i < fa.size(); ++i) fa[i] += fb[i];
+  add_counts(fa, mp::from_bytes<std::int64_t>(b));
   return mp::to_bytes(std::span<const std::int64_t>(fa));
 }
 
@@ -183,7 +201,7 @@ inline std::vector<std::int64_t> decode_voted_stats(
   flat.reserve(expected_len);
   std::int64_t prev = 0;
   while (flat.size() < expected_len) {
-    prev += unzigzag(in.get_varint());
+    prev = checked_sum(prev, unzigzag(in.get_varint()));
     flat.push_back(prev);
   }
   in.finish();

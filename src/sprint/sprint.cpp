@@ -185,7 +185,7 @@ clouds::DecisionTree SprintBuilder::train(mp::Comm& comm, io::LocalDisk& disk,
     // runs that straddle rank boundaries produce exactly one candidate.
     std::array<FirstValue, data::kNumNumeric> my_first{};
     for (int a = 0; a < data::kNumNumeric; ++a) {
-      io::RecordReader<ListEntry> reader(disk, list_file(a, w.id), 1);
+      io::BlockReader<ListEntry> reader(disk, list_file(a, w.id), 1);
       std::vector<ListEntry> one;
       if (reader.next_block(one)) {
         my_first[static_cast<std::size_t>(a)] = {1, one[0].value};

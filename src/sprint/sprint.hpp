@@ -51,7 +51,7 @@ struct SprintConfig {
   std::size_t memory_bytes = 1 << 20;  ///< per-rank streaming budget
   RidExchange rid_exchange = RidExchange::kReplicated;
   /// Async double-buffered streaming for attribute-list I/O (presort
-  /// write-behind, sweep/partition read-ahead); off = synchronous oracle.
+  /// write-behind, sweep/partition read-ahead); depth 0 = synchronous.
   io::PipelineConfig pipeline;
 };
 

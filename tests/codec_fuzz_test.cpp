@@ -21,8 +21,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -42,6 +44,7 @@
 #include "mp/runtime.hpp"
 #include "mp/serialize.hpp"
 #include "obs/json.hpp"
+#include "pclouds/combiners.hpp"
 #include "pclouds/pclouds.hpp"
 #include "pclouds/problem.hpp"
 #include "pclouds/stats_codec.hpp"
@@ -411,6 +414,40 @@ TEST(CodecFuzz, VotedStatsSurvivesMutations) {
     const auto flat = pclouds::decode_voted_stats(b, seed.expected_len);
     // An accepted stream must carry exactly the advertised count.
     ASSERT_EQ(flat.size(), seed.expected_len);
+  });
+}
+
+// A forged stream or blob must not drive the count merges past int64:
+// each case overflows (undefined behaviour) without the checked sums.
+TEST(CodecFuzz, VotedStatsRejectsARunningCountPastInt64) {
+  mp::WireWriter out;
+  out.put_varint(pclouds::zigzag(std::numeric_limits<std::int64_t>::max()));
+  out.put_varint(pclouds::zigzag(1));
+  const auto blob = out.take();
+  EXPECT_THROW((void)pclouds::decode_voted_stats(blob, 2), WireError);
+}
+
+TEST(CodecFuzz, StatsMergeRejectsASumPastInt64) {
+  const std::vector<std::int64_t> big = {
+      std::numeric_limits<std::int64_t>::max()};
+  const std::vector<std::int64_t> one = {1};
+  EXPECT_THROW((void)pclouds::combine_stats_blobs(
+                   mp::to_bytes(std::span<const std::int64_t>(big)),
+                   mp::to_bytes(std::span<const std::int64_t>(one))),
+               WireError);
+}
+
+TEST(CodecFuzz, VotingRejectsHistBitsOutsideZeroToSixtyTwo) {
+  // quantize_count shifts a signed 64-bit count by hist_bits.
+  const auto seed = seeded_voted();
+  mp::Runtime rt(1);
+  rt.run([&](mp::Comm& comm) {
+    for (const int bits : {-1, 63}) {
+      EXPECT_THROW((void)pclouds::derive_voting(comm, seed.stats, 2, bits,
+                                                /*want_alive=*/false, {}),
+                   std::invalid_argument)
+          << "hist_bits=" << bits;
+    }
   });
 }
 

@@ -22,6 +22,7 @@
 #include "data/dataset.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/fault.hpp"
+#include "io/pipeline.hpp"
 #include "io/scratch.hpp"
 #include "mp/clock.hpp"
 #include "mp/cost_model.hpp"
@@ -97,12 +98,12 @@ TEST(RankFault, FiresOnTheNthOpOfTheChosenRank) {
   const auto plan = FaultPlan::parse("disk_read:rank=1:op=2");
   RankFault wrong(&plan, /*rank=*/0, nullptr);
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(wrong.on_disk(/*is_write=*/false), DiskAction::kProceed);
+    EXPECT_EQ(wrong.on_disk(/*is_write=*/false, 0.0), DiskAction::kProceed);
   }
   RankFault right(&plan, /*rank=*/1, nullptr);
-  EXPECT_EQ(right.on_disk(false), DiskAction::kProceed);
-  EXPECT_EQ(right.on_disk(false), DiskAction::kFailTransient);
-  EXPECT_EQ(right.on_disk(false), DiskAction::kProceed);
+  EXPECT_EQ(right.on_disk(false, 0.0), DiskAction::kProceed);
+  EXPECT_EQ(right.on_disk(false, 0.0), DiskAction::kFailTransient);
+  EXPECT_EQ(right.on_disk(false, 0.0), DiskAction::kProceed);
   EXPECT_EQ(right.injected(), 1u);
 }
 
@@ -112,20 +113,21 @@ TEST(RankFault, TriggeredSpecDrainsRetriesWithoutAdvancingTheCounter) {
   // fires on the third logical request.
   const auto plan = FaultPlan::parse("disk_read:op=2:times=3;disk_read:op=3");
   RankFault f(&plan, 0, nullptr);
-  EXPECT_EQ(f.on_disk(false), DiskAction::kProceed);        // op 1
-  EXPECT_EQ(f.on_disk(false), DiskAction::kFailTransient);  // op 2, attempt 1
-  EXPECT_EQ(f.on_disk(false), DiskAction::kFailTransient);  // op 2, attempt 2
-  EXPECT_EQ(f.on_disk(false), DiskAction::kFailTransient);  // op 2, attempt 3
-  EXPECT_EQ(f.on_disk(false), DiskAction::kFailTransient);  // op 3 fires
-  EXPECT_EQ(f.on_disk(false), DiskAction::kProceed);        // op 4
+  const auto read = [&f] { return f.on_disk(/*is_write=*/false, 0.0); };
+  EXPECT_EQ(read(), DiskAction::kProceed);        // op 1
+  EXPECT_EQ(read(), DiskAction::kFailTransient);  // op 2, attempt 1
+  EXPECT_EQ(read(), DiskAction::kFailTransient);  // op 2, attempt 2
+  EXPECT_EQ(read(), DiskAction::kFailTransient);  // op 2, attempt 3
+  EXPECT_EQ(read(), DiskAction::kFailTransient);  // op 3 fires
+  EXPECT_EQ(read(), DiskAction::kProceed);        // op 4
 }
 
 TEST(RankFault, TornWriteFiresOnceAndOnlyOnWrites) {
   const auto plan = FaultPlan::parse("disk_write:op=1:torn");
   RankFault f(&plan, 0, nullptr);
-  EXPECT_EQ(f.on_disk(/*is_write=*/false), DiskAction::kProceed);
-  EXPECT_EQ(f.on_disk(/*is_write=*/true), DiskAction::kTear);
-  EXPECT_EQ(f.on_disk(/*is_write=*/true), DiskAction::kProceed);
+  EXPECT_EQ(f.on_disk(/*is_write=*/false, 0.0), DiskAction::kProceed);
+  EXPECT_EQ(f.on_disk(/*is_write=*/true, 0.0), DiskAction::kTear);
+  EXPECT_EQ(f.on_disk(/*is_write=*/true, 0.0), DiskAction::kProceed);
 }
 
 TEST(RankFault, CommFaultThrowsAtTheMatchingPrimitive) {
@@ -185,6 +187,24 @@ TEST(DiskFaults, TornWriteLeavesAPartialPrefixOnDisk) {
   EXPECT_EQ(disk.file_bytes("a.dat"), payload.size() * sizeof(int) / 2);
 }
 
+TEST(DiskFaults, WriteThatGivesUpLeavesTheOldFileUnchanged) {
+  // The whole-file request opens (and so truncates) its file only after
+  // the fault loop lets it through: a write that runs out of retries
+  // never touches the bytes already on disk.
+  DiskRig rig;
+  const auto plan = FaultPlan::parse("disk_write:op=2:times=4");
+  RankFault f(&plan, 0, &rig.clock);
+  io::LocalDisk disk(rig.arena.rank_dir(0), &rig.cost, &rig.clock, {}, &f);
+  std::vector<int> old_bytes(100);
+  for (int i = 0; i < 100; ++i) old_bytes[i] = 3 * i + 1;
+  disk.write_file<int>("a.dat", old_bytes);  // write op 1
+  EXPECT_THROW(disk.write_file<int>("a.dat", std::vector<int>(40, -1)),
+               DiskFault);  // write op 2 fails all four attempts
+  EXPECT_EQ(f.injected(), 4u);
+  EXPECT_EQ(disk.read_file<int>("a.dat"), old_bytes);
+  EXPECT_EQ(disk.stats().write_ops, 1u);
+}
+
 TEST(DiskFaults, StreamingReaderFaultsPropagate) {
   DiskRig rig;
   const auto plan = FaultPlan::parse("disk_read:op=2:times=6");
@@ -192,7 +212,7 @@ TEST(DiskFaults, StreamingReaderFaultsPropagate) {
   io::LocalDisk disk(rig.arena.rank_dir(0), &rig.cost, &rig.clock, {}, &f);
   std::vector<int> payload(1000);
   disk.write_file<int>("a.dat", payload);
-  io::RecordReader<int> reader(disk, "a.dat", /*block_records=*/100);
+  io::BlockReader<int> reader(disk, "a.dat", /*block_records=*/100);
   std::vector<int> block;
   EXPECT_TRUE(reader.next_block(block));  // read op 1
   EXPECT_THROW((void)reader.next_block(block), DiskFault);

@@ -149,7 +149,7 @@ Artifacts generate() {
         pclouds::PcloudsConfig cfg;
         cfg.clouds.q_root = 200;
         cfg.memory_bytes = 32 << 10;
-        cfg.clouds.pipeline.enabled = true;
+        cfg.clouds.pipeline.queue_depth = 2;
         auto tree =
             pclouds::pclouds_train(comm, cfg, disk, "train.dat", sample);
         rank_io[static_cast<std::size_t>(comm.rank())] = disk.stats();
@@ -255,7 +255,7 @@ TEST(GoldenSchema2, AnalyzerReportKeyStructureMatchesGolden) {
       fs::temp_directory_path() / "pdc_analysis_schema.json";
   const std::string cmd =
       "python3 " + (root / "scripts" / "pdc_analyze.py").string() +
-      " --no-cache --mode ast-lite --json " + out.string() + " " +
+      " --no-cache --json " + out.string() + " " +
       (root / "tests" / "analyzer_fixtures").string() +
       " > /dev/null 2>&1";
   // Exit 1 is expected: the fixtures exist to trigger findings.

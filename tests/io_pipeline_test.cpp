@@ -1,9 +1,10 @@
-// The async double-buffered I/O pipeline against its synchronous oracle.
+// The async double-buffered I/O pipeline against its synchronous oracle,
+// the same BlockReader/BlockWriter at queue depth 0.
 //
 //  - Property sweep: for 100 random (block size, queue depth, record count)
 //    instances — including empty files and files smaller than one block —
-//    the pipelined BlockReader/BlockWriter move byte-identical data and
-//    issue the same requests as the synchronous stream classes.
+//    the pipelined streams move byte-identical data and issue the same
+//    requests as the depth-0 streams.
 //  - Modeled time: overlap accounting never charges more than the
 //    synchronous path, and a compute-heavy consumer hides I/O (io_hidden).
 //  - Whole-classifier differential: pCLOUDS and pSPRINT grow byte-identical
@@ -12,6 +13,10 @@
 //    thread are injected, retried and charged exactly like synchronous
 //    ones; a spent retry budget surfaces as DiskFault at the reap point,
 //    and requests queued behind the failure are skipped, not executed.
+//    A parity table runs eight fault plans at depth 0 and depth 2 and
+//    compares data, disk bytes, exceptions (also from a call made again
+//    on the dead stream), injector count, IoStats and the fault.disk_*
+//    counters.
 //  - Perf regression (label: perf): at p = 8 the pipelined build is
 //    strictly faster in modeled time with nonzero hidden I/O.
 
@@ -21,9 +26,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "clouds/model_io.hpp"
@@ -33,6 +41,7 @@
 #include "io/pipeline.hpp"
 #include "io/scratch.hpp"
 #include "mp/runtime.hpp"
+#include "obs/trace.hpp"
 #include "pclouds/pclouds.hpp"
 #include "sprint/sprint.hpp"
 
@@ -42,10 +51,12 @@ namespace {
 namespace fs = std::filesystem;
 
 struct Rig {
-  explicit Rig(const char* tag, fault::RankFault* fault = nullptr)
+  explicit Rig(const char* tag, fault::RankFault* fault = nullptr,
+               obs::Tracer* tracer = nullptr)
       : arena(tag, 1),
         cost(mp::Machine::sp2_like()),
-        disk(arena.rank_dir(0), &cost, &clock, {}, fault) {}
+        disk(arena.rank_dir(0), &cost, &clock,
+             tracer ? tracer->rank(0, &clock) : obs::RankTracer{}, fault) {}
 
   io::ScratchArena arena;
   mp::CostModel cost;
@@ -53,14 +64,16 @@ struct Rig {
   io::LocalDisk disk;
 };
 
-std::vector<std::int64_t> read_all_pipelined(io::LocalDisk& disk,
-                                             const std::string& name,
-                                             std::size_t block,
-                                             std::size_t depth) {
+io::PipelineConfig depth_of(std::size_t depth) {
   io::PipelineConfig cfg;
-  cfg.enabled = true;
   cfg.queue_depth = depth;
-  io::BlockReader<std::int64_t> r(disk, name, block, cfg);
+  return cfg;
+}
+
+std::vector<std::int64_t> read_all(io::LocalDisk& disk,
+                                   const std::string& name, std::size_t block,
+                                   std::size_t depth) {
+  io::BlockReader<std::int64_t> r(disk, name, block, depth_of(depth));
   std::vector<std::int64_t> all;
   std::vector<std::int64_t> blk;
   while (r.next_block(blk)) all.insert(all.end(), blk.begin(), blk.end());
@@ -86,17 +99,15 @@ TEST(PipelineProperty, RandomInstancesMatchSynchronousByteForByte) {
     for (auto& v : data) v = static_cast<std::int64_t>(rng());
 
     const std::string name = "f" + std::to_string(iter) + ".bin";
-    io::PipelineConfig on;
-    on.enabled = true;
-    on.queue_depth = depth;
 
-    // Write: synchronous RecordWriter vs pipelined BlockWriter.
+    // Write: the depth-0 BlockWriter vs a pipelined one.
     {
-      io::RecordWriter<std::int64_t> w(sync_rig.disk, name, block);
+      io::BlockWriter<std::int64_t> w(sync_rig.disk, name, block);
       for (auto v : data) w.append(v);
     }
     {
-      io::BlockWriter<std::int64_t> w(pipe_rig.disk, name, block, on);
+      io::BlockWriter<std::int64_t> w(pipe_rig.disk, name, block,
+                                      depth_of(depth));
       for (auto v : data) w.append(v);
       EXPECT_EQ(w.count(), n);
       w.close();
@@ -107,7 +118,7 @@ TEST(PipelineProperty, RandomInstancesMatchSynchronousByteForByte) {
     EXPECT_EQ(pipe_rig.disk.file_bytes(name), sync_rig.disk.file_bytes(name));
 
     // Read back pipelined from both disks; both must equal the original.
-    EXPECT_EQ(read_all_pipelined(pipe_rig.disk, name, block, depth), data)
+    EXPECT_EQ(read_all(pipe_rig.disk, name, block, depth), data)
         << "read iter=" << iter << " n=" << n << " block=" << block
         << " depth=" << depth;
   }
@@ -119,11 +130,9 @@ TEST(PipelineProperty, RandomInstancesMatchSynchronousByteForByte) {
 
 TEST(PipelineProperty, EmptyFileYieldsNoBlocksAndNoRequests) {
   Rig rig("pipe_empty");
-  { io::RecordWriter<int> w(rig.disk, "e.bin", 8); }
+  { io::BlockWriter<int> w(rig.disk, "e.bin", 8); }
   const auto pre = rig.disk.stats();
-  io::PipelineConfig on;
-  on.enabled = true;
-  io::BlockReader<int> r(rig.disk, "e.bin", 8, on);
+  io::BlockReader<int> r(rig.disk, "e.bin", 8, depth_of(2));
   std::vector<int> blk;
   EXPECT_FALSE(r.next_block(blk));
   EXPECT_EQ(r.remaining(), 0u);
@@ -144,12 +153,12 @@ TEST(PipelineClock, NoComputeBetweenReapsChargesTheSynchronousCost) {
   const double pipe0 = pipe_rig.clock.snapshot().io_s;
 
   {
-    io::RecordReader<std::int64_t> r(sync_rig.disk, "c.bin", 256);
+    io::BlockReader<std::int64_t> r(sync_rig.disk, "c.bin", 256);
     std::vector<std::int64_t> blk;
     while (r.next_block(blk)) {
     }
   }
-  (void)read_all_pipelined(pipe_rig.disk, "c.bin", 256, 2);
+  (void)read_all(pipe_rig.disk, "c.bin", 256, 2);
 
   const double sync_io = sync_rig.clock.snapshot().io_s - sync0;
   const double pipe_io = pipe_rig.clock.snapshot().io_s - pipe0;
@@ -165,9 +174,7 @@ TEST(PipelineClock, ComputeBetweenReapsHidesIo) {
   rig.disk.write_file<std::int64_t>("h.bin", data);
   const double io0 = rig.clock.snapshot().io_s;
 
-  io::PipelineConfig on;
-  on.enabled = true;
-  io::BlockReader<std::int64_t> r(rig.disk, "h.bin", 500, on);
+  io::BlockReader<std::int64_t> r(rig.disk, "h.bin", 500, depth_of(2));
   std::vector<std::int64_t> blk;
   double sync_equivalent = 0.0;
   while (r.next_block(blk)) {
@@ -228,7 +235,7 @@ TrainResult run_pclouds(int p, std::uint64_t n, bool pipelined,
     pclouds::PcloudsConfig cfg;
     cfg.clouds.q_root = 400;
     cfg.memory_bytes = 64 << 10;
-    cfg.clouds.pipeline.enabled = pipelined;
+    cfg.clouds.pipeline = depth_of(pipelined ? 2 : 0);
     auto tree = pclouds::pclouds_train(comm, cfg, disk, "train.dat", sample);
     if (comm.rank() == 0) {
       std::lock_guard lock(mu);
@@ -273,7 +280,7 @@ TEST(PipelineDifferential, SprintTreeIsByteIdenticalPipelineOnOff) {
                                     "train.dat", 1024);
       sprint::SprintConfig cfg;
       cfg.memory_bytes = 32 << 10;
-      cfg.pipeline.enabled = pipelined;
+      cfg.pipeline = depth_of(pipelined ? 2 : 0);
       sprint::SprintBuilder builder(cfg);
       auto tree = builder.train(comm, disk, "train.dat");
       if (comm.rank() == 0) {
@@ -302,7 +309,7 @@ TEST(PipelineFault, RecoveredFaultOnPrefetchThreadRetriesAndCharges) {
   rig.disk.write_file<std::int64_t>("r.bin", data);
 
   const double io0 = rig.clock.snapshot().io_s;
-  EXPECT_EQ(read_all_pipelined(rig.disk, "r.bin", 256, 3), data);
+  EXPECT_EQ(read_all(rig.disk, "r.bin", 256, 3), data);
   EXPECT_EQ(f.injected(), 2u);
   // Two failed attempts -> two backoffs (8 ms, then 16 ms) charged to the
   // modeled clock exactly as on the synchronous path.
@@ -320,13 +327,10 @@ TEST(PipelineFault, ExhaustedRetriesSurfaceAtReapAndPoisonTheQueue) {
   rig.disk.write_file<std::int64_t>("x.bin",
                                     std::vector<std::int64_t>(1000, 3));
 
-  io::PipelineConfig on;
-  on.enabled = true;
-  on.queue_depth = 3;
   std::vector<std::int64_t> blk;
   EXPECT_THROW(
       {
-        io::BlockReader<std::int64_t> r(rig.disk, "x.bin", 256, on);
+        io::BlockReader<std::int64_t> r(rig.disk, "x.bin", 256, depth_of(3));
         while (r.next_block(blk)) {
         }
       },
@@ -342,42 +346,144 @@ TEST(PipelineFault, TornWriteBehindTruncatesAndThrowsOnClose) {
   fault::RankFault f(&plan, 0, nullptr);
   Rig rig("pipe_fault_torn", &f);
 
-  io::PipelineConfig on;
-  on.enabled = true;
-  io::BlockWriter<std::int64_t> w(rig.disk, "t.bin", 128, on);
+  io::BlockWriter<std::int64_t> w(rig.disk, "t.bin", 128, depth_of(2));
   for (int i = 0; i < 256; ++i) w.append(static_cast<std::int64_t>(i));
   EXPECT_THROW(w.close(), fault::DiskFault);
   // Block 1 landed whole; block 2 tore at half: 128 + 64 records on disk.
   EXPECT_EQ(rig.disk.file_bytes("t.bin"), (128 + 64) * sizeof(std::int64_t));
 }
 
-TEST(PipelineFault, SameFaultPlanSameOutcomePipelinedOrNot) {
-  // The worker consults the per-site op counters in program order, so a
-  // plan aimed at the Nth read hits the same logical request either way.
-  auto run = [](bool pipelined) {
-    const auto plan = fault::FaultPlan::parse("disk_read:op=3:times=2");
-    fault::RankFault f(&plan, 0, nullptr);
-    Rig rig("pipe_fault_parity", &f);
-    std::vector<std::int64_t> data(2000);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      data[i] = static_cast<std::int64_t>(i * 7);
-    }
-    rig.disk.write_file<std::int64_t>("p.bin", data);
-    std::vector<std::int64_t> got;
-    if (pipelined) {
-      got = read_all_pipelined(rig.disk, "p.bin", 300, 2);
+// What one fault plan did to a stream, at one queue depth.
+struct FaultOutcome {
+  std::vector<std::int64_t> read;  ///< records returned before any throw
+  std::string disk;                ///< the file's bytes afterwards
+  std::string error;               ///< exception type and message, if any
+  std::string error_again;         ///< the same, from the call made again
+  std::uint64_t injected = 0;
+  io::IoStats stats;
+  std::map<std::string, std::uint64_t> counters;  ///< fault.disk_*
+};
+
+struct FaultRow {
+  const char* name;
+  const char* plan;
+  bool write;
+  bool gives_up;  ///< the stream ends in DiskFault
+  std::uint64_t expected_injected;
+  /// After the throw, call the dead stream once more -- next_block() for a
+  /// reader, close() and destruction for a writer -- before the outcome
+  /// is read.  Other rows are read with the stream still open.
+  bool again;
+};
+
+std::string error_of(const std::exception& e) {
+  return std::string(typeid(e).name()) + ": " + e.what();
+}
+
+constexpr std::size_t kParityRecords = 2000;
+
+FaultOutcome run_fault_row(const FaultRow& row, std::size_t depth) {
+  const auto plan = fault::FaultPlan::parse(row.plan);
+  fault::RankFault f(&plan, 0, nullptr);
+  obs::Tracer tracer(1);
+  Rig rig("pipe_fault_parity", &f, &tracer);
+  std::vector<std::int64_t> data(kParityRecords);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::int64_t>(i * 7);
+  }
+  // 2000 records in blocks of 300: seven requests per pass.
+  constexpr std::size_t kBlock = 300;
+  if (!row.write) rig.disk.write_file<std::int64_t>("p.bin", data);
+
+  FaultOutcome out;
+  std::optional<io::BlockWriter<std::int64_t>> writer;
+  std::optional<io::BlockReader<std::int64_t>> reader;
+  std::vector<std::int64_t> blk;
+  try {
+    if (row.write) {
+      writer.emplace(rig.disk, "p.bin", kBlock, depth_of(depth));
+      for (const auto v : data) writer->append(v);
+      writer->close();
     } else {
-      io::RecordReader<std::int64_t> r(rig.disk, "p.bin", 300);
-      std::vector<std::int64_t> blk;
-      while (r.next_block(blk)) got.insert(got.end(), blk.begin(), blk.end());
+      reader.emplace(rig.disk, "p.bin", kBlock, depth_of(depth));
+      while (reader->next_block(blk)) {
+        out.read.insert(out.read.end(), blk.begin(), blk.end());
+      }
     }
-    return std::pair{got, f.injected()};
+  } catch (const std::exception& e) {
+    out.error = error_of(e);
+  }
+  if (row.again) {
+    try {
+      if (row.write) {
+        writer->close();
+      } else {
+        (void)reader->next_block(blk);
+      }
+    } catch (const std::exception& e) {
+      out.error_again = error_of(e);
+    }
+    writer.reset();
+    reader.reset();
+  }
+  out.disk = file_bytes_of(rig.disk.path_of("p.bin"));
+  out.injected = f.injected();
+  out.stats = rig.disk.stats();
+  for (const auto& [name, c] : tracer.metrics(0).counters()) {
+    if (name.rfind("fault.disk_", 0) == 0) out.counters[name] = c.value;
+  }
+  return out;
+}
+
+TEST(PipelineFault, SameFaultPlanSameOutcomePipelinedOrNot) {
+  // The worker consults the per-site op counters in program order and
+  // runs the same executor, so a plan aimed at the Nth request hits the
+  // same logical request, and ends the same way, at every queue depth.
+  const FaultRow rows[] = {
+      {"transient read", "disk_read:op=3:times=2", false, false, 2, false},
+      {"exhausted read", "disk_read:op=3:times=4", false, true, 4, false},
+      {"exhausted read, read again", "disk_read:op=3:times=4", false, true, 4,
+       true},
+      // The seventh request is the last: nothing is queued behind it.
+      {"exhausted last read, read again", "disk_read:op=7:times=4", false,
+       true, 4, true},
+      {"transient write", "disk_write:op=3:times=2", true, false, 2, false},
+      {"exhausted write", "disk_write:op=3:times=4", true, true, 4, false},
+      {"exhausted last write, close again", "disk_write:op=7:times=4", true,
+       true, 4, true},
+      {"torn write, close again", "disk_write:op=3:torn", true, true, 1, true},
   };
-  const auto sync = run(false);
-  const auto pipe = run(true);
-  EXPECT_EQ(sync.first, pipe.first);
-  EXPECT_EQ(sync.second, pipe.second);
-  EXPECT_EQ(sync.second, 2u);
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    const auto sync = run_fault_row(row, 0);
+    const auto pipe = run_fault_row(row, 2);
+    EXPECT_EQ(sync.injected, row.expected_injected);
+    if (row.gives_up) {
+      EXPECT_NE(sync.error.find("DiskFault"), std::string::npos);
+    } else {
+      // A transient fault is absorbed: every record moves.
+      EXPECT_EQ(sync.error, "");
+      EXPECT_EQ(row.write ? sync.disk.size() / sizeof(std::int64_t)
+                          : sync.read.size(),
+                kParityRecords);
+    }
+    if (row.again) {
+      // A dead stream says so; it never reports data it did not move.
+      EXPECT_NE(sync.error_again.find("DiskFault"), std::string::npos);
+      EXPECT_NE(sync.error_again.find("after the stream failed"),
+                std::string::npos);
+    }
+    EXPECT_EQ(sync.read, pipe.read);
+    EXPECT_EQ(sync.disk, pipe.disk);
+    EXPECT_EQ(sync.error, pipe.error);
+    EXPECT_EQ(sync.error_again, pipe.error_again);
+    EXPECT_EQ(sync.injected, pipe.injected);
+    EXPECT_EQ(sync.stats.read_ops, pipe.stats.read_ops);
+    EXPECT_EQ(sync.stats.write_ops, pipe.stats.write_ops);
+    EXPECT_EQ(sync.stats.bytes_read, pipe.stats.bytes_read);
+    EXPECT_EQ(sync.stats.bytes_written, pipe.stats.bytes_written);
+    EXPECT_EQ(sync.counters, pipe.counters);
+  }
 }
 
 TEST(PipelineFault, FaultDuringPipelinedTrainingAbortsCleanly) {
@@ -404,7 +510,7 @@ TEST(PipelineFault, FaultDuringPipelinedTrainingAbortsCleanly) {
             pclouds::PcloudsConfig cfg;
             cfg.clouds.q_root = 200;
             cfg.memory_bytes = 32 << 10;
-            cfg.clouds.pipeline.enabled = true;
+            cfg.clouds.pipeline = depth_of(2);
             (void)pclouds::pclouds_train(comm, cfg, disk, "train.dat",
                                          sample);
           },

@@ -10,6 +10,7 @@
 
 #include "io/local_disk.hpp"
 #include "io/memory_budget.hpp"
+#include "io/pipeline.hpp"
 #include "io/scratch.hpp"
 #include "mp/clock.hpp"
 #include "mp/cost_model.hpp"
@@ -95,11 +96,11 @@ TEST_F(DiskFixture, ReadMissingFileThrows) {
 TEST_F(DiskFixture, WriterReaderStreamRoundTrip) {
   const std::size_t n = 10'000;
   {
-    RecordWriter<std::int64_t> w(disk, "stream.bin", /*block_records=*/128);
+    BlockWriter<std::int64_t> w(disk, "stream.bin", /*block_records=*/128);
     for (std::size_t i = 0; i < n; ++i) w.append(static_cast<std::int64_t>(i));
     EXPECT_EQ(w.count(), n);
   }
-  RecordReader<std::int64_t> r(disk, "stream.bin", /*block_records=*/300);
+  BlockReader<std::int64_t> r(disk, "stream.bin", /*block_records=*/300);
   EXPECT_EQ(r.remaining(), n);
   std::vector<std::int64_t> block;
   std::int64_t expect = 0;
@@ -112,12 +113,12 @@ TEST_F(DiskFixture, WriterReaderStreamRoundTrip) {
 
 TEST_F(DiskFixture, WriterBlocksBecomeRequests) {
   {
-    RecordWriter<std::int32_t> w(disk, "blk.bin", /*block_records=*/100);
+    BlockWriter<std::int32_t> w(disk, "blk.bin", /*block_records=*/100);
     for (int i = 0; i < 1000; ++i) w.append(i);
   }
   // 1000 records in blocks of 100 -> exactly 10 write requests.
   EXPECT_EQ(disk.stats().write_ops, 10u);
-  RecordReader<std::int32_t> r(disk, "blk.bin", /*block_records=*/250);
+  BlockReader<std::int32_t> r(disk, "blk.bin", /*block_records=*/250);
   std::vector<std::int32_t> block;
   while (r.next_block(block)) {
   }
@@ -126,11 +127,11 @@ TEST_F(DiskFixture, WriterBlocksBecomeRequests) {
 
 TEST_F(DiskFixture, WriterAppendModeExtendsFile) {
   {
-    RecordWriter<int> w(disk, "app.bin", 16);
+    BlockWriter<int> w(disk, "app.bin", 16);
     w.append(1);
   }
   {
-    RecordWriter<int> w(disk, "app.bin", 16, /*append=*/true);
+    BlockWriter<int> w(disk, "app.bin", 16, {}, /*append=*/true);
     w.append(2);
   }
   auto all = disk.read_file<int>("app.bin");
@@ -138,8 +139,8 @@ TEST_F(DiskFixture, WriterAppendModeExtendsFile) {
 }
 
 TEST_F(DiskFixture, EmptyStreamYieldsNoBlocks) {
-  { RecordWriter<int> w(disk, "empty.bin", 8); }
-  RecordReader<int> r(disk, "empty.bin", 8);
+  { BlockWriter<int> w(disk, "empty.bin", 8); }
+  BlockReader<int> r(disk, "empty.bin", 8);
   std::vector<int> block;
   EXPECT_FALSE(r.next_block(block));
 }
@@ -183,10 +184,10 @@ TEST_P(StreamP, ConservesRecordsAcrossBlockSizes) {
   LocalDisk disk(arena.rank_dir(0), &cost, &clock);
   const int n = 777;
   {
-    RecordWriter<std::int32_t> w(disk, "p.bin", static_cast<std::size_t>(wblk));
+    BlockWriter<std::int32_t> w(disk, "p.bin", static_cast<std::size_t>(wblk));
     for (int i = 0; i < n; ++i) w.append(i * 3);
   }
-  RecordReader<std::int32_t> r(disk, "p.bin", static_cast<std::size_t>(rblk));
+  BlockReader<std::int32_t> r(disk, "p.bin", static_cast<std::size_t>(rblk));
   std::vector<std::int32_t> block;
   std::int64_t count = 0;
   std::int64_t sum = 0;

@@ -98,7 +98,7 @@ std::size_t build_highwater(std::size_t n, bool pipeline) {
   obs::MemGauge gauge;
   CloudsConfig cfg;
   cfg.q_root = 300;
-  cfg.pipeline.enabled = pipeline;
+  cfg.pipeline.queue_depth = pipeline ? 2 : 0;
   CostHooks hooks;
   hooks.mem = &gauge;
   CloudsBuilder builder(cfg, hooks);
