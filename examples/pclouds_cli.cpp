@@ -11,7 +11,7 @@
 //                 [--save PATH] [--no-prune]
 //                 [--trace PATH] [--report PATH] [--profile PATH]
 //                 [--scratch DIR] [--checkpoint-every N] [--resume]
-//                 [--inject SPEC] [--pipeline on|off] [--queue-depth N]
+//                 [--inject SPEC] [--queue-depth N]
 //
 // --trace writes a Chrome trace_event JSON of the modeled timeline (load in
 // Perfetto / chrome://tracing: one track per rank, spans for every phase and
@@ -87,8 +87,7 @@ struct Options {
   std::uint64_t checkpoint_every = 0;
   bool resume = false;
   std::string inject;
-  bool pipeline = false;
-  std::size_t queue_depth = 2;
+  std::size_t queue_depth = 0;
   bool help = false;
 };
 
@@ -127,13 +126,12 @@ void print_usage(std::FILE* to) {
       "  --inject SPEC            plant deterministic faults, e.g.\n"
       "                           disk_write:rank=1:op=3:times=2;comm_coll:"
       "op=5\n"
-      "  --pipeline on|off        async double-buffered block I/O (read-\n"
-      "                           ahead + write-behind; default off).  The\n"
-      "                           tree is identical either way; only the\n"
-      "                           modeled time changes\n"
-      "  --queue-depth N          in-flight blocks per stream with --pipeline\n"
-      "                           on (default 2; off runs every request\n"
-      "                           inline, depth 0)\n"
+      "  --queue-depth N          blocks each stream keeps in flight on the\n"
+      "                           disk's worker (read-ahead + write-behind;\n"
+      "                           0..1024, default 0 = every request inline,\n"
+      "                           the synchronous stream).  The tree is\n"
+      "                           identical at every depth; only the modeled\n"
+      "                           time changes\n"
       "  --help                   this message\n");
 }
 
@@ -211,7 +209,7 @@ bool parse(int argc, char** argv, Options& opt) {
         arg == "--trace" || arg == "--report" || arg == "--profile" ||
         arg == "--scratch" ||
         arg == "--checkpoint-every" || arg == "--inject" ||
-        arg == "--pipeline" || arg == "--queue-depth";
+        arg == "--queue-depth";
     if (!known) {
       std::fprintf(stderr, "pclouds_cli: unknown option: %s\n", arg.c_str());
       return false;
@@ -290,18 +288,8 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.checkpoint_every = n;
     } else if (arg == "--inject") {
       opt.inject = val;
-    } else if (arg == "--pipeline") {
-      if (std::strcmp(val, "on") == 0) {
-        opt.pipeline = true;
-      } else if (std::strcmp(val, "off") == 0) {
-        opt.pipeline = false;
-      } else {
-        std::fprintf(stderr, "pclouds_cli: --pipeline wants on|off, got %s\n",
-                     val);
-        return false;
-      }
     } else if (arg == "--queue-depth") {
-      if (!parse_count("--queue-depth", val, 1, 1024, &n)) return false;
+      if (!parse_count("--queue-depth", val, 0, 1024, &n)) return false;
       opt.queue_depth = n;
     }
   }
@@ -406,7 +394,7 @@ int main(int argc, char** argv) {
         clouds::DecisionTree local_tree;
         pclouds::PcloudsDiag local_diag;
         io::PipelineConfig pipeline;
-        pipeline.queue_depth = opt.pipeline ? opt.queue_depth : 0;
+        pipeline.queue_depth = opt.queue_depth;
         if (opt.classifier == "sprint") {
           sprint::SprintConfig cfg;
           cfg.memory_bytes = opt.memory;
@@ -542,7 +530,7 @@ int main(int argc, char** argv) {
               "balance %.3f)\n",
               report.parallel_time(), report.max_compute(),
               report.max_comm(), report.max_io(), report.balance());
-  if (opt.pipeline) {
+  if (opt.queue_depth > 0) {
     std::printf("pipeline    : on (queue depth %zu), io hidden %.3f s over "
                 "all ranks\n",
                 opt.queue_depth, report.total_io_hidden());

@@ -213,8 +213,7 @@ GROWTH_RE = re.compile(
 RAW_IO_RE = re.compile(
     r"\b(?:std::)?(fopen|fread|fwrite)\s*\(")
 CHARGE_RE = re.compile(
-    r"\b(?:charge_read|charge_write|charge_io\w*|charge_bytes|charge_scan|"
-    r"add_io)\s*\(|\bCostHooks\b")
+    r"\b(?:charge_io\w*|charge_scan|add_io)\s*\(|\bCostHooks\b")
 
 INCORE_RE = re.compile(r"pdc:\s*incore\(([^)]*)\)")
 IOWRAP_RE = re.compile(r"pdc:\s*io-wrapper\(([^)]*)\)")

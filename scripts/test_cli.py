@@ -31,6 +31,8 @@ class RejectsBadArguments(unittest.TestCase):
     # (args, text that must appear on stderr)
     CASES = [
         (["--bogus"], "unknown option"),
+        # Retired: --queue-depth alone sets the stream depth.
+        (["--pipeline", "on"], "unknown option"),
         (["--procs"], "requires a value"),
         (["--procs", "abc"], "--procs"),
         (["--procs", "0"], "--procs"),
@@ -47,8 +49,8 @@ class RejectsBadArguments(unittest.TestCase):
         (["--noise", "1.5"], "--noise"),
         (["--noise", "nope"], "--noise"),
         (["--sample", "0"], "--sample"),
-        (["--queue-depth", "0"], "--queue-depth"),
-        (["--pipeline", "maybe"], "--pipeline"),
+        (["--queue-depth", "1025"], "--queue-depth"),
+        (["--queue-depth", "-1"], "--queue-depth"),
         (["--inject", "disk_write:rank=bogus"], "--inject"),
         (["--inject", "warp_core:op=1"], "--inject"),
         # Plans that could never fire: the retired p2p site, and a rank the
@@ -69,7 +71,7 @@ class RejectsBadArguments(unittest.TestCase):
                 self.assertIn(needle, r.stderr)
 
     def test_bad_invocations_print_usage(self):
-        r = run("--pipeline", "sideways")
+        r = run("--queue-depth", "sideways")
         self.assertIn("usage: pclouds_cli", r.stderr)
 
 
@@ -83,6 +85,12 @@ class AcceptsGoodArguments(unittest.TestCase):
         r = run(*GOOD_ARGS)
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertIn("modeled time", r.stdout)
+        self.assertNotIn("pipeline", r.stdout)
+
+    def test_queue_depth_alone_runs_the_pipeline(self):
+        r = run(*GOOD_ARGS, "--queue-depth", "3")
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("pipeline    : on (queue depth 3)", r.stdout)
 
 
 @unittest.skipUnless(os.path.exists("/dev/full"), "/dev/full not available")

@@ -59,13 +59,6 @@ struct CostHooks {
     }
   }
 
-  /// Moving `bytes` through memory (e.g. partitioning buffers).
-  void charge_bytes(std::uint64_t bytes) const {
-    if (clock) {
-      clock->add_compute(machine.cpu_byte_op * static_cast<double>(bytes));
-    }
-  }
-
   /// Resident bytes entering an annotated in-core zone (no-op without a
   /// gauge).  Pair with release_mem, or hold an obs::MemCharge.
   void charge_mem(std::size_t bytes) const {

@@ -3,12 +3,24 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <numeric>
 #include <span>
 
 #include "clouds/estimate.hpp"
 #include "obs/mem_gauge.hpp"
 
 namespace pdc::clouds {
+
+namespace {
+
+/// Every index below `n`, ascending: what the sequential methods own.
+std::vector<std::size_t> every_index(std::size_t n) {
+  std::vector<std::size_t> out(n);
+  std::iota(out.begin(), out.end(), std::size_t{0});
+  return out;
+}
+
+}  // namespace
 
 NodeStats NodeStats::with_boundaries(std::span<const data::Record> sample,
                                      int q) {
@@ -38,13 +50,15 @@ void collect_stats(const io::Scan<data::Record>& scan, NodeStats& stats,
   });
 }
 
-SplitCandidate evaluate_boundaries(const IntervalHist& hist, int attr,
-                                   const CostHooks& hooks) {
+SplitCandidate evaluate_owned_boundaries(const IntervalHist& hist, int attr,
+                                         std::span<const std::size_t> owned,
+                                         std::uint64_t& evaluated) {
   SplitCandidate best;
-  const auto prefix = hist.prefix_counts();
   const auto total = hist.total_counts();
-  for (std::size_t j = 0; j < hist.bounds.size(); ++j) {
-    const auto& left = prefix[j];
+  data::ClassCounts left{};  // intervals 0..j, the side "value <= bounds[j]"
+  std::size_t next = 0;
+  for (const std::size_t j : owned) {
+    for (; next <= j; ++next) left += hist.freq[next];
     const auto right = total - left;
     if (data::total(left) == 0 || data::total(right) == 0) continue;
     Split s;
@@ -53,7 +67,16 @@ SplitCandidate evaluate_boundaries(const IntervalHist& hist, int attr,
     s.threshold = hist.bounds[j];
     best.consider(split_gini(left, right), s);
   }
-  hooks.charge_gini(hist.bounds.size());
+  evaluated += owned.size();
+  return best;
+}
+
+SplitCandidate evaluate_boundaries(const IntervalHist& hist, int attr,
+                                   const CostHooks& hooks) {
+  std::uint64_t evaluated = 0;
+  const auto best = evaluate_owned_boundaries(
+      hist, attr, every_index(hist.bounds.size()), evaluated);
+  hooks.charge_gini(evaluated);
   return best;
 }
 
@@ -72,40 +95,50 @@ SplitCandidate ss_split(const NodeStats& stats, const CostHooks& hooks) {
   return best;
 }
 
+void owned_alive_intervals(const IntervalHist& hist, int attr,
+                           std::span<const std::size_t> owned,
+                           double gini_min, std::vector<AliveInterval>& alive,
+                           std::uint64_t& evaluated) {
+  const auto total = hist.total_counts();
+  data::ClassCounts before{};  // intervals 0..j-1
+  std::size_t next = 0;
+  for (const std::size_t j : owned) {
+    for (; next < j; ++next) before += hist.freq[next];
+    const auto& inside = hist.freq[j];
+    // Intervals with <= 1 point cannot contain a split strictly better
+    // than its boundaries.
+    if (data::total(inside) <= 1) continue;
+    ++evaluated;
+    const auto after = total - before - inside;
+    const double est = gini_lower_bound(before, inside, after);
+    if (est < gini_min) {
+      AliveInterval iv;
+      iv.attr = attr;
+      iv.interval = j;
+      iv.unbounded_lo = (j == 0);
+      iv.unbounded_hi = (j == hist.bounds.size());
+      iv.lo = iv.unbounded_lo ? std::numeric_limits<float>::lowest()
+                              : hist.bounds[j - 1];
+      iv.hi = iv.unbounded_hi ? std::numeric_limits<float>::max()
+                              : hist.bounds[j];
+      iv.before = before;
+      iv.inside = inside;
+      iv.after = after;
+      iv.gini_est = est;
+      alive.push_back(iv);
+    }
+  }
+}
+
 std::vector<AliveInterval> find_alive_intervals(const NodeStats& stats,
                                                 double gini_min,
                                                 const CostHooks& hooks) {
   std::vector<AliveInterval> alive;
   for (int a = 0; a < data::kNumNumeric; ++a) {
     const auto& hist = stats.hists[static_cast<std::size_t>(a)];
-    const auto total = hist.total_counts();
-    data::ClassCounts before{};
-    for (std::size_t j = 0; j < hist.interval_count(); ++j) {
-      const auto& inside = hist.freq[j];
-      const auto after = total - before - inside;
-      // Intervals with <= 1 point cannot contain a split strictly better
-      // than its boundaries.
-      if (data::total(inside) > 1) {
-        const double est = gini_lower_bound(before, inside, after);
-        if (est < gini_min) {
-          AliveInterval iv;
-          iv.attr = a;
-          iv.interval = j;
-          iv.unbounded_lo = (j == 0);
-          iv.unbounded_hi = (j == hist.bounds.size());
-          iv.lo = iv.unbounded_lo ? std::numeric_limits<float>::lowest()
-                                  : hist.bounds[j - 1];
-          iv.hi = iv.unbounded_hi ? std::numeric_limits<float>::max()
-                                  : hist.bounds[j];
-          iv.before = before;
-          iv.inside = inside;
-          iv.after = after;
-          iv.gini_est = est;
-          alive.push_back(iv);
-        }
-      }
-      before += inside;
-    }
+    std::uint64_t evaluated = 0;
+    owned_alive_intervals(hist, a, every_index(hist.interval_count()),
+                          gini_min, alive, evaluated);
     hooks.charge_gini(hist.interval_count() * (1u << data::kNumClasses));
   }
   return alive;

@@ -44,7 +44,18 @@ struct NodeStats {
 void collect_stats(const io::Scan<data::Record>& scan, NodeStats& stats,
                    const CostHooks& hooks);
 
-/// Best split among the interval boundaries of one numeric attribute.
+/// The boundary-candidate rule, over the boundaries of one numeric
+/// attribute listed in `owned` (ascending indices into hist.bounds):
+/// boundary j proposes "value <= bounds[j]", unless one side would be
+/// empty.  Adds every owned boundary to `evaluated` and charges nothing;
+/// the caller charges what was evaluated.  The sequential methods below
+/// and pCLOUDS's owned work assignments both run this one rule.
+SplitCandidate evaluate_owned_boundaries(const IntervalHist& hist, int attr,
+                                         std::span<const std::size_t> owned,
+                                         std::uint64_t& evaluated);
+
+/// Best split among the interval boundaries of one numeric attribute,
+/// charging one gini evaluation per boundary.
 SplitCandidate evaluate_boundaries(const IntervalHist& hist, int attr,
                                    const CostHooks& hooks);
 
@@ -73,8 +84,19 @@ struct AliveInterval {
   }
 };
 
+/// The alive-interval rule, over the intervals of one numeric attribute
+/// listed in `owned` (ascending indices into hist.freq): an interval with
+/// more than one point is evaluated, and is alive when its gini lower bound
+/// beats `gini_min`.  Appends the alive ones to `alive` in index order,
+/// adds the evaluated ones to `evaluated` and charges nothing.
+void owned_alive_intervals(const IntervalHist& hist, int attr,
+                           std::span<const std::size_t> owned,
+                           double gini_min, std::vector<AliveInterval>& alive,
+                           std::uint64_t& evaluated);
+
 /// Determine the alive intervals of every numeric attribute given the
-/// current global minimum gini.
+/// current global minimum gini, charging every interval's lower bound
+/// whether or not it holds enough points to be evaluated.
 std::vector<AliveInterval> find_alive_intervals(const NodeStats& stats,
                                                 double gini_min,
                                                 const CostHooks& hooks);

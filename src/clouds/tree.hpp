@@ -59,7 +59,6 @@ class DecisionTree {
   std::vector<std::int32_t> preorder(std::int32_t from) const;
 
   std::size_t leaf_count() const;
-  std::size_t internal_count() const { return live_count() - leaf_count(); }
   std::int32_t max_depth() const;
 
   /// Nodes reachable from the root (collapse leaves orphans in the arena).

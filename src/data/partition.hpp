@@ -41,17 +41,6 @@ class DatasetPartition {
                             static_cast<std::uint64_t>(nprocs_));
   }
 
-  /// All global indices owned by `rank`, ascending.
-  std::vector<std::uint64_t> indices_of(int rank) const {
-    std::vector<std::uint64_t> out;
-    out.reserve(static_cast<std::size_t>(
-        total_ / static_cast<std::uint64_t>(nprocs_) + 64));
-    for (std::uint64_t i = 0; i < total_; ++i) {
-      if (owner_of(i) == rank) out.push_back(i);
-    }
-    return out;
-  }
-
   std::uint64_t count_of(int rank) const {
     std::uint64_t c = 0;
     for (std::uint64_t i = 0; i < total_; ++i) {

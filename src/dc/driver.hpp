@@ -66,8 +66,6 @@ struct DcConfig {
   std::uint64_t small_threshold = 0;
   /// Per-rank memory for streaming buffers.
   std::size_t memory_bytes = 1 << 20;
-  /// Keep the caller's root file intact (children get driver-owned files).
-  bool preserve_root_file = true;
   /// Snapshot the queued loop's state (pending queues, partial result)
   /// every N dequeued tasks; 0 disables checkpointing.  Only the queued
   /// strategies (data-parallel / task-parallel / mixed) checkpoint —
@@ -100,11 +98,14 @@ class DcDriver {
   DcDriver(DcConfig cfg, io::LocalDisk& disk)
       : cfg_(cfg), disk_(&disk), budget_(cfg.memory_bytes) {}
 
+  /// Builds the tree over `root_file`, which is left intact: every other
+  /// task lives in a driver-owned file.
   DcReport run(mp::Comm& comm, DcProblem<T>& problem,
                const std::string& root_file) {
     report_ = DcReport{};
     next_id_ = 1;
     ckpt_version_ = 1;
+    root_file_ = root_file;
 
     Pending root;
     root.task.id = 0;
@@ -116,7 +117,7 @@ class DcDriver {
     if (cfg_.strategy == Strategy::kConcatenated) {
       run_concatenated(comm, problem, std::move(root));
     } else if (cfg_.strategy == Strategy::kTaskGroups) {
-      run_group(comm, problem, std::move(root), root_file);
+      run_group(comm, problem, std::move(root));
     } else {
       run_queued(comm, problem, std::move(root));
     }
@@ -145,10 +146,14 @@ class DcDriver {
     return "dc_" + std::to_string(id);
   }
 
-  void drop_file(const Pending& p, const std::string& root_file) {
-    if (p.file != root_file || !cfg_.preserve_root_file) {
-      disk_->remove(p.file);
-    }
+  void drop_file(const Pending& p) {
+    if (p.file != root_file_) disk_->remove(p.file);
+  }
+
+  void end_leaf(mp::Comm& comm, DcProblem<T>& problem, const Pending& p) {
+    problem.on_leaf(comm, p.task);
+    ++report_.leaves;
+    drop_file(p);
   }
 
   std::vector<std::byte> combined_stats(
@@ -167,12 +172,27 @@ class DcDriver {
     return acc;
   }
 
+  /// Ends a large task, whatever the strategy: decide() its split from the
+  /// combined `stats`, then either make it a leaf or partition it into its
+  /// two children, which it returns.
+  std::optional<std::pair<Pending, Pending>> end_large(
+      mp::Comm& comm, DcProblem<T>& problem, const Pending& cur,
+      const std::vector<std::byte>& stats,
+      const typename DcProblem<T>::Scan& scan, std::size_t block) {
+    ++report_.large_tasks;
+    const auto router = problem.decide(comm, stats, scan, cur.task);
+    if (!router) {
+      end_leaf(comm, problem, cur);
+      return std::nullopt;
+    }
+    return partition(comm, problem, cur, *router, block);
+  }
+
   /// Partition `parent` into two child tasks; returns them (files written,
   /// parent file removed).  `block` is the per-stream block size.
   std::pair<Pending, Pending> partition(
       mp::Comm& comm, DcProblem<T>& problem, const Pending& parent,
-      const typename DcProblem<T>::Router& router, std::size_t block,
-      const std::string& root_file) {
+      const typename DcProblem<T>::Router& router, std::size_t block) {
     auto sp = obs::SpanGuard(comm.tracer(), "partition-pass", "dc");
     Pending left;
     Pending right;
@@ -196,7 +216,7 @@ class DcDriver {
       lw.close();
       rw.close();
     }
-    drop_file(parent, root_file);
+    drop_file(parent);
     sp.set_n(ln + rn);
     comm.tracer().observe("dc.partition_pass_records",
                           static_cast<double>(ln + rn));
@@ -228,7 +248,6 @@ class DcDriver {
   // ------------------------------------------- data / task / mixed loop ---
 
   void run_queued(mp::Comm& comm, DcProblem<T>& problem, Pending root) {
-    const std::string root_file = root.file;
     const std::uint64_t threshold = small_threshold();
 
     std::deque<Pending> queue;
@@ -257,9 +276,7 @@ class DcDriver {
       queue.pop_front();
 
       if (cur.task.global_n == 0) {
-        problem.on_leaf(comm, cur.task);
-        ++report_.leaves;
-        drop_file(cur, root_file);
+        end_leaf(comm, problem, cur);
         continue;
       }
       if (cur.task.global_n <= threshold) {
@@ -267,7 +284,6 @@ class DcDriver {
         continue;
       }
 
-      ++report_.large_tasks;
       auto sp = obs::SpanGuard(comm.tracer(), "large-node", "dc", obs::kNoArg,
                                cur.task.global_n);
       sp.set_depth(static_cast<std::uint64_t>(cur.task.depth));
@@ -275,29 +291,21 @@ class DcDriver {
       const auto scan =
           io::file_scan<T>(*disk_, cur.file, block, cfg_.pipeline);
       const auto local = problem.local_stats(scan, cur.task);
-      const auto global = combined_stats(comm, problem, local);
-      auto router = problem.decide(comm, global, scan, cur.task);
-      if (!router) {
-        problem.on_leaf(comm, cur.task);
-        ++report_.leaves;
-        drop_file(cur, root_file);
-        continue;
+      auto children = end_large(comm, problem, cur,
+                                combined_stats(comm, problem, local), scan,
+                                block);
+      if (children) {
+        queue.push_back(std::move(children->first));
+        queue.push_back(std::move(children->second));
       }
-      auto [left, right] =
-          partition(comm, problem, cur, *router, block, root_file);
-      queue.push_back(std::move(left));
-      queue.push_back(std::move(right));
     }
 
-    if (!small.empty()) {
-      solve_small_batch(comm, problem, small, root_file);
-    }
+    if (!small.empty()) solve_small_batch(comm, problem, small);
   }
 
   // ------------------------------------------------------- concatenated ---
 
   void run_concatenated(mp::Comm& comm, DcProblem<T>& problem, Pending root) {
-    const std::string root_file = root.file;
     std::vector<Pending> level;
     level.push_back(std::move(root));
 
@@ -332,27 +340,18 @@ class DcDriver {
 
       std::vector<Pending> next;
       for (std::size_t i = 0; i < level.size(); ++i) {
-        Pending& cur = level[i];
+        const Pending& cur = level[i];
         if (cur.task.global_n == 0) {
-          problem.on_leaf(comm, cur.task);
-          ++report_.leaves;
-          drop_file(cur, root_file);
+          end_leaf(comm, problem, cur);
           continue;
         }
-        ++report_.large_tasks;
-        const auto scan =
-            io::file_scan<T>(*disk_, cur.file, block, cfg_.pipeline);
-        auto router = problem.decide(comm, combined[i], scan, cur.task);
-        if (!router) {
-          problem.on_leaf(comm, cur.task);
-          ++report_.leaves;
-          drop_file(cur, root_file);
-          continue;
+        auto children = end_large(
+            comm, problem, cur, combined[i],
+            io::file_scan<T>(*disk_, cur.file, block, cfg_.pipeline), block);
+        if (children) {
+          next.push_back(std::move(children->first));
+          next.push_back(std::move(children->second));
         }
-        auto [left, right] =
-            partition(comm, problem, cur, *router, block, root_file);
-        next.push_back(std::move(left));
-        next.push_back(std::move(right));
       }
       level = std::move(next);
     }
@@ -362,38 +361,29 @@ class DcDriver {
 
   /// Recursive task parallelism with processor groups.  Invariant: the
   /// task's data lives only on the disks of `comm`'s members.
-  void run_group(mp::Comm& comm, DcProblem<T>& problem, Pending cur,
-                 const std::string& root_file) {
+  void run_group(mp::Comm& comm, DcProblem<T>& problem, Pending cur) {
     if (cur.task.global_n == 0) {
-      problem.on_leaf(comm, cur.task);
-      ++report_.leaves;
-      drop_file(cur, root_file);
+      end_leaf(comm, problem, cur);
       return;
     }
     if (comm.size() == 1) {
       // Terminal group: solve the whole subtree sequentially.
       auto data = disk_->read_file<T>(cur.file);
-      drop_file(cur, root_file);
+      drop_file(cur);
       ++report_.small_tasks;
       problem.solve_sequential(cur.task, std::move(data));
       return;
     }
 
     // One data-parallel split within the group.
-    ++report_.large_tasks;
     const std::size_t block = budget_.block_records(sizeof(T), 3);
     const auto scan = io::file_scan<T>(*disk_, cur.file, block, cfg_.pipeline);
     const auto local = problem.local_stats(scan, cur.task);
-    const auto global = combined_stats(comm, problem, local);
-    auto router = problem.decide(comm, global, scan, cur.task);
-    if (!router) {
-      problem.on_leaf(comm, cur.task);
-      ++report_.leaves;
-      drop_file(cur, root_file);
-      return;
-    }
-    auto [left, right] =
-        partition(comm, problem, cur, *router, block, root_file);
+    auto children = end_large(comm, problem, cur,
+                              combined_stats(comm, problem, local), scan,
+                              block);
+    if (!children) return;
+    auto& [left, right] = *children;
 
     // Subgroups sized by the children's estimated sequential costs.
     const double cl = problem.sequential_cost(left.task.global_n);
@@ -410,7 +400,7 @@ class DcDriver {
                                 color == 0 ? left : right, block);
 
     mp::Comm sub = comm.split(color);
-    run_group(sub, problem, std::move(mine), root_file);
+    run_group(sub, problem, std::move(mine));
 
     // Unwind: the two subgroups exchange their finished subtrees so every
     // member of this group holds the whole subtree of `cur`.
@@ -461,8 +451,7 @@ class DcDriver {
   // ------------------------------------------------ delayed task phase ---
 
   void solve_small_batch(mp::Comm& comm, DcProblem<T>& problem,
-                         std::vector<Pending>& small,
-                         const std::string& root_file) {
+                         std::vector<Pending>& small) {
     auto sp = obs::SpanGuard(comm.tracer(), "small-node-drain", "dc",
                              obs::kNoArg, small.size());
     report_.small_tasks = small.size();
@@ -488,7 +477,7 @@ class DcDriver {
       report_.records_redistributed += slice.size();
       meta[dest].push_back(slice.size());
       payload[dest].insert(payload[dest].end(), slice.begin(), slice.end());
-      drop_file(small[i], root_file);
+      drop_file(small[i]);
     }
     const auto in_meta = comm.all_to_all<std::uint64_t>(meta);
     const auto in_payload = comm.all_to_all<T>(payload);
@@ -682,6 +671,7 @@ class DcDriver {
   io::LocalDisk* disk_;
   io::MemoryBudget budget_;
   DcReport report_;
+  std::string root_file_;
   std::int64_t next_id_ = 1;
   std::uint64_t ckpt_version_ = 1;
 };

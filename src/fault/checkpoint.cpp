@@ -62,7 +62,7 @@ void CheckpointStore::write(std::uint64_t version,
 }
 
 std::optional<std::vector<CheckpointStore::ManifestEntry>>
-CheckpointStore::load_manifest(std::uint64_t version) {
+CheckpointStore::read_manifest(std::uint64_t version) {
   const auto name = manifest_of(version);
   if (!disk_->exists(name)) return std::nullopt;
   const auto raw = disk_->read_file<std::byte>(name);
@@ -93,14 +93,28 @@ CheckpointStore::load_manifest(std::uint64_t version) {
   } catch (const WireError&) {
     return std::nullopt;
   }
+  return entries;
+}
 
+std::optional<std::vector<std::byte>> CheckpointStore::read_checked(
+    std::uint64_t version, const ManifestEntry& entry) {
+  const auto file = file_of(version, entry.name);
+  if (disk_->file_bytes(file) != entry.bytes) return std::nullopt;
+  auto bytes = disk_->read_file<std::byte>(file);
+  if (bytes.size() != entry.bytes || fnv1a64(bytes) != entry.checksum) {
+    return std::nullopt;
+  }
+  return bytes;
+}
+
+std::optional<std::vector<CheckpointStore::ManifestEntry>>
+CheckpointStore::load_manifest(std::uint64_t version) {
+  auto entries = read_manifest(version);
+  if (!entries) return std::nullopt;
   // A snapshot vouches for its blobs: every one must exist with matching
   // size and checksum, or the whole version is rejected.
-  for (const auto& e : entries) {
-    const auto blob_file = file_of(version, e.name);
-    if (disk_->file_bytes(blob_file) != e.bytes) return std::nullopt;
-    const auto bytes = disk_->read_file<std::byte>(blob_file);
-    if (fnv1a64(bytes) != e.checksum) return std::nullopt;
+  for (const auto& e : *entries) {
+    if (!read_checked(version, e)) return std::nullopt;
   }
   return entries;
 }
@@ -143,19 +157,19 @@ std::optional<std::vector<std::string>> CheckpointStore::blob_names(
 
 std::vector<std::byte> CheckpointStore::read_blob(std::uint64_t version,
                                                   const std::string& name) {
-  auto entries = load_manifest(version);
-  if (!entries) {
-    throw std::runtime_error("CheckpointStore: snapshot v" +
-                             std::to_string(version) + " is not valid");
-  }
+  const auto where = "CheckpointStore: snapshot v" + std::to_string(version);
+  const auto entries = read_manifest(version);
+  if (!entries) throw std::runtime_error(where + " is not valid");
   for (const auto& e : *entries) {
-    if (e.name == name) {
-      return disk_->read_file<std::byte>(file_of(version, name));
+    if (e.name != name) continue;
+    auto bytes = read_checked(version, e);
+    if (!bytes) {
+      throw std::runtime_error(where + " blob '" + name +
+                               "' does not match its manifest");
     }
+    return std::move(*bytes);
   }
-  throw std::runtime_error("CheckpointStore: snapshot v" +
-                           std::to_string(version) + " has no blob '" + name +
-                           "'");
+  throw std::runtime_error(where + " has no blob '" + name + "'");
 }
 
 void CheckpointStore::gc(std::size_t keep) {

@@ -56,7 +56,10 @@ class CheckpointStore {
   /// Empty optional if the snapshot is missing or fails validation.
   std::optional<std::vector<std::string>> blob_names(std::uint64_t version);
 
-  /// Reads one blob of a snapshot (checksum re-verified on read).
+  /// Reads one blob of a snapshot: the manifest, then that blob alone,
+  /// whose size and checksum must match the manifest's entry.  Throws
+  /// std::runtime_error if the manifest is invalid, lists no such blob, or
+  /// the blob does not match it.
   std::vector<std::byte> read_blob(std::uint64_t version,
                                    const std::string& name);
 
@@ -76,6 +79,13 @@ class CheckpointStore {
 
   std::string file_of(std::uint64_t version, const std::string& blob) const;
   std::string manifest_of(std::uint64_t version) const;
+  /// Parses a snapshot's manifest alone; empty optional if it is missing,
+  /// torn or of another version.
+  std::optional<std::vector<ManifestEntry>> read_manifest(
+      std::uint64_t version);
+  /// One blob's bytes, if its size and checksum match `entry`.
+  std::optional<std::vector<std::byte>> read_checked(
+      std::uint64_t version, const ManifestEntry& entry);
   /// Parses + fully validates a snapshot; empty optional if invalid.
   std::optional<std::vector<ManifestEntry>> load_manifest(
       std::uint64_t version);

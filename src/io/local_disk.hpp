@@ -85,10 +85,6 @@ class LocalDisk {
     std::filesystem::remove(path_of(name), ec);
   }
 
-  void rename(const std::string& from, const std::string& to) {
-    std::filesystem::rename(path_of(from), path_of(to));
-  }
-
   /// Write a whole typed file in one request (overwrites).  The file is
   /// opened only once the request's fault loop lets it through, so a write
   /// that gives up leaves the old file's bytes as they were.

@@ -26,7 +26,6 @@ class MemoryBudget {
   bool fits(std::size_t n, std::size_t object_bytes) const {
     return n <= bytes_ / object_bytes;
   }
-  bool fits_bytes(std::size_t b) const { return b <= bytes_; }
 
   /// Number of records of `record_bytes` each that a streaming block may
   /// hold when the budget is split across `streams` concurrent streams.

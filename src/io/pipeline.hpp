@@ -74,15 +74,19 @@ class BlockReader {
   BlockReader& operator=(const BlockReader&) = delete;
 
   /// Reads the next block into `out` (replacing its contents).  Returns
-  /// false when the file is exhausted; ignoring it loses EOF (PDC003).
-  /// After a throw, `out`'s contents are unspecified and the stream is
-  /// dead: every later call throws too.
+  /// false, with `out` empty, when the file is exhausted; ignoring it
+  /// loses EOF (PDC003).  After a throw, `out`'s contents are unspecified
+  /// and the stream is dead: every later call throws too.
   [[nodiscard]] bool next_block(std::vector<T>& out) {
-    out.clear();
-    if (remaining_ == 0) return false;
+    if (remaining_ == 0) {
+      out.clear();
+      return false;
+    }
     if (failed_) throw LocalDisk::stream_failed(/*is_write=*/false, name_);
     failed_ = true;  // until this block has settled
     if (depth_ == 0) {
+      // Same-size blocks reuse `out` as it is: the read overwrites every
+      // record, so nothing is value-initialised first.
       out.resize(std::min(block_records_, remaining_));
       disk_->run_inline(request(out), name_);
     } else {

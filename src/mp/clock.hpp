@@ -28,7 +28,6 @@ class Clock {
   void add_compute(double s) { snap_.compute_s += s; }
   void add_comm(double s) { snap_.comm_s += s; }
   void add_io(double s) { snap_.io_s += s; }
-  void add_idle(double s) { snap_.idle_s += s; }
 
   /// Overlap-aware charge for one asynchronously-executed disk request of
   /// modeled cost `io_cost_s` whose completion the rank had to wait

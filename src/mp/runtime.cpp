@@ -40,12 +40,6 @@ double SpmdReport::max_idle() const {
   return t;
 }
 
-double SpmdReport::total_idle() const {
-  double t = 0.0;
-  for (const auto& c : clocks) t += c.idle_s;
-  return t;
-}
-
 double SpmdReport::total_io_hidden() const {
   double t = 0.0;
   for (const auto& c : clocks) t += c.io_hidden_s;

@@ -40,7 +40,6 @@ struct SpmdReport {
   double max_comm() const;
   double max_io() const;
   double max_idle() const;
-  double total_idle() const;
   /// Modeled I/O hidden behind compute by the async pipeline, summed over
   /// ranks.  Zero when the pipeline is off (every byte stalls the rank).
   double total_io_hidden() const;

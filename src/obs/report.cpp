@@ -26,12 +26,6 @@ double RunReport::balance() const {
   return sum_busy / (static_cast<double>(ranks.size()) * max_busy);
 }
 
-io::IoStats RunReport::total_io() const {
-  io::IoStats total;
-  for (const auto& r : ranks) total += r.io;
-  return total;
-}
-
 Json RunReport::to_json() const {
   const auto num = [](double v) { return Json::make_number(v); };
   const auto exact = [](std::uint64_t v) { return Json::make_uint(v); };

@@ -76,8 +76,6 @@ struct RunReport {
   double parallel_time_s() const;
   /// Mean busy / max busy over ranks, busy = compute + comm + io.
   double balance() const;
-  /// All ranks' IoStats summed.
-  io::IoStats total_io() const;
 
   Json to_json() const;
   static RunReport from_json(std::string_view text);

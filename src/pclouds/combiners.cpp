@@ -7,15 +7,12 @@
 #include <utility>
 
 #include "clouds/categorical.hpp"
-#include "clouds/estimate.hpp"
-#include "clouds/gini.hpp"
 #include "pclouds/stats_codec.hpp"
 
 namespace pdc::pclouds {
 
 using clouds::AliveInterval;
 using clouds::NodeStats;
-using clouds::Split;
 using clouds::SplitCandidate;
 
 static_assert(std::is_trivially_copyable_v<AliveInterval>,
@@ -30,137 +27,69 @@ SplitCandidate reduce_candidates(mp::Comm& comm, const SplitCandidate& mine) {
 
 namespace {
 
-/// Work-item ownership for the replication approaches.  Numeric boundary
-/// items are numbered consecutively (attribute major); categorical
-/// attributes are owned like attributes in every approach.
+/// Which work items this rank evaluates.  Numeric boundary items are
+/// numbered consecutively (attribute major); the interval-based and hybrid
+/// replication approaches deal them out one by one or in chunks, every
+/// other approach by whole attribute, and categorical attributes are owned
+/// like attributes in every approach.
 struct WorkAssign {
   CombineMethod method;
   int nprocs;
+  int rank;
   std::size_t total_boundary_items;
   /// kVoting only: position of each unified attribute id in the candidate
   /// list, -1 for attributes that lost the vote (nobody evaluates those).
   const std::array<int, data::kNumAttributes>* voted_ordinal = nullptr;
 
-  bool owns_numeric(int rank, int attr, std::size_t item_index) const {
-    switch (method) {
-      case CombineMethod::kReplicationAttribute:
-        return attr % nprocs == rank;
-      case CombineMethod::kReplicationInterval:
-        return item_index % static_cast<std::size_t>(nprocs) ==
-               static_cast<std::size_t>(rank);
-      case CombineMethod::kReplicationHybrid: {
-        if (total_boundary_items == 0) return rank == 0;
-        const auto lo = total_boundary_items *
-                        static_cast<std::size_t>(rank) /
-                        static_cast<std::size_t>(nprocs);
-        const auto hi = total_boundary_items *
-                        static_cast<std::size_t>(rank + 1) /
-                        static_cast<std::size_t>(nprocs);
-        return item_index >= lo && item_index < hi;
-      }
-      case CombineMethod::kDistributed:
-        return attr % nprocs == rank;
-      case CombineMethod::kVoting: {
-        const int ord = (*voted_ordinal)[static_cast<std::size_t>(attr)];
-        return ord >= 0 && ord % nprocs == rank;
-      }
-    }
-    return false;
-  }
-
-  bool owns_categorical(int rank, int cat_attr) const {
-    const int attr = data::kNumNumeric + cat_attr;
+  /// Unified attribute id `attr` (numeric, then categorical) is this
+  /// rank's: attr % p, or under voting its candidate ordinal % p.
+  bool owns_attribute(int attr) const {
     if (method == CombineMethod::kVoting) {
       const int ord = (*voted_ordinal)[static_cast<std::size_t>(attr)];
       return ord >= 0 && ord % nprocs == rank;
     }
     return attr % nprocs == rank;
   }
+
+  bool owns_numeric(int attr, std::size_t item_index) const {
+    const auto p = static_cast<std::size_t>(nprocs);
+    const auto r = static_cast<std::size_t>(rank);
+    if (method == CombineMethod::kReplicationInterval) {
+      return item_index % p == r;
+    }
+    if (method == CombineMethod::kReplicationHybrid) {
+      return item_index >= total_boundary_items * r / p &&
+             item_index < total_boundary_items * (r + 1) / p;
+    }
+    return owns_attribute(attr);
+  }
+
+  /// The boundaries of `attr` this rank evaluates; `base` is the item
+  /// index of the attribute's first boundary.
+  std::vector<std::size_t> boundaries(int attr, std::size_t base,
+                                      std::size_t count) const {
+    std::vector<std::size_t> owned;
+    for (std::size_t j = 0; j < count; ++j) {
+      if (owns_numeric(attr, base + j)) owned.push_back(j);
+    }
+    return owned;
+  }
+
+  /// The intervals of `attr` whose aliveness this rank decides.  Interval
+  /// j rides with its upper boundary's owner; the final, unbounded
+  /// interval rides with the last boundary.  An attribute with no
+  /// boundaries at all (degenerate sample) goes to rank attr % p.
+  std::vector<std::size_t> intervals(int attr, std::size_t base,
+                                     std::size_t count) const {
+    if (count == 0) {
+      return attr % nprocs == rank ? std::vector<std::size_t>{0}
+                                   : std::vector<std::size_t>{};
+    }
+    auto owned = boundaries(attr, base, count);
+    if (!owned.empty() && owned.back() == count - 1) owned.push_back(count);
+    return owned;
+  }
 };
-
-/// Evaluate the boundary candidates this rank owns, from global stats.
-SplitCandidate evaluate_owned_boundaries(const NodeStats& global,
-                                         const WorkAssign& assign, int rank,
-                                         const clouds::CostHooks& hooks) {
-  SplitCandidate best;
-  std::size_t item = 0;
-  std::uint64_t evals = 0;
-  for (int a = 0; a < data::kNumNumeric; ++a) {
-    const auto& hist = global.hists[static_cast<std::size_t>(a)];
-    const auto total = hist.total_counts();
-    data::ClassCounts prefix{};
-    for (std::size_t j = 0; j < hist.bounds.size(); ++j, ++item) {
-      prefix += hist.freq[j];
-      if (!assign.owns_numeric(rank, a, item)) continue;
-      ++evals;
-      const auto right = total - prefix;
-      if (data::total(prefix) == 0 || data::total(right) == 0) continue;
-      Split s;
-      s.kind = Split::Kind::kNumeric;
-      s.attr = static_cast<std::int8_t>(a);
-      s.threshold = hist.bounds[j];
-      best.consider(clouds::split_gini(prefix, right), s);
-    }
-  }
-  for (int c = 0; c < data::kNumCategorical; ++c) {
-    if (!assign.owns_categorical(rank, c)) continue;
-    const auto& m = global.cats[static_cast<std::size_t>(c)];
-    best.consider(clouds::best_categorical_split(m));
-    evals += m.counts.size() * m.counts.size();
-  }
-  hooks.charge_gini(evals);
-  return best;
-}
-
-/// Aliveness of the intervals this rank owns, from global stats.
-std::vector<AliveInterval> owned_alive_intervals(
-    const NodeStats& global, const WorkAssign& assign, int rank,
-    double gini_min, const clouds::CostHooks& hooks) {
-  std::vector<AliveInterval> alive;
-  std::size_t base = 0;  // first boundary item index of the attribute
-  std::uint64_t evals = 0;
-  for (int a = 0; a < data::kNumNumeric; ++a) {
-    const auto& hist = global.hists[static_cast<std::size_t>(a)];
-    const auto total = hist.total_counts();
-    data::ClassCounts before{};
-    for (std::size_t j = 0; j < hist.interval_count(); ++j) {
-      // Interval j rides with its upper boundary's owner; the final,
-      // unbounded interval rides with the last boundary.  An attribute with
-      // no boundaries at all (degenerate sample) goes to rank attr % p.
-      const auto& inside = hist.freq[j];
-      const bool mine =
-          hist.bounds.empty()
-              ? rank == a % assign.nprocs
-              : assign.owns_numeric(
-                    rank, a, base + std::min(j, hist.bounds.size() - 1));
-      if (mine && data::total(inside) > 1) {
-        ++evals;
-        const auto after = total - before - inside;
-        const double est = clouds::gini_lower_bound(before, inside, after);
-        if (est < gini_min) {
-          AliveInterval iv;
-          iv.attr = a;
-          iv.interval = j;
-          iv.unbounded_lo = (j == 0);
-          iv.unbounded_hi = (j == hist.bounds.size());
-          iv.lo = iv.unbounded_lo ? std::numeric_limits<float>::lowest()
-                                  : hist.bounds[j - 1];
-          iv.hi = iv.unbounded_hi ? std::numeric_limits<float>::max()
-                                  : hist.bounds[j];
-          iv.before = before;
-          iv.inside = inside;
-          iv.after = after;
-          iv.gini_est = est;
-          alive.push_back(iv);
-        }
-      }
-      before += inside;
-    }
-    base += hist.bounds.size();
-  }
-  hooks.charge_gini(evals * (1u << data::kNumClasses));
-  return alive;
-}
 
 /// Merge per-rank alive lists into one identical, deterministically ordered
 /// list on every rank ("the status of the intervals is broadcasted to all
@@ -176,10 +105,60 @@ std::vector<AliveInterval> share_alive(mp::Comm& comm,
   return merged;
 }
 
-std::size_t total_boundary_items(const NodeStats& stats) {
-  std::size_t n = 0;
-  for (const auto& h : stats.hists) n += h.bounds.size();
-  return n;
+/// The tail every combiner ends with, over the statistics this rank
+/// evaluates from (global for the candidates it owns): the owned boundary
+/// and categorical candidates, one min-reduction to gini_min, then for SSE
+/// the owned intervals' aliveness, shared with every rank.  Each owned loop
+/// charges its evaluated-item count once.  It opens no span: each caller's
+/// gini-evaluation span covers it.
+BoundaryDerivation derive_owned(mp::Comm& comm, CombineMethod method,
+                                const NodeStats& stats, bool want_alive,
+                                const clouds::CostHooks& hooks,
+                                const std::array<int, data::kNumAttributes>*
+                                    voted_ordinal = nullptr) {
+  std::size_t items = 0;
+  for (const auto& h : stats.hists) items += h.bounds.size();
+  const WorkAssign assign{method, comm.size(), comm.rank(), items,
+                          voted_ordinal};
+
+  SplitCandidate mine;
+  std::uint64_t evals = 0;
+  std::size_t base = 0;
+  for (int a = 0; a < data::kNumNumeric; ++a) {
+    const auto& hist = stats.hists[static_cast<std::size_t>(a)];
+    mine.consider(clouds::evaluate_owned_boundaries(
+        hist, a, assign.boundaries(a, base, hist.bounds.size()), evals));
+    base += hist.bounds.size();
+  }
+  for (int c = 0; c < data::kNumCategorical; ++c) {
+    if (!assign.owns_attribute(data::kNumNumeric + c)) continue;
+    const auto& m = stats.cats[static_cast<std::size_t>(c)];
+    mine.consider(clouds::best_categorical_split(m));
+    evals += m.counts.size() * m.counts.size();
+  }
+  hooks.charge_gini(evals);
+
+  BoundaryDerivation out;
+  out.counts = stats.counts;
+  out.gini_min = reduce_candidates(comm, mine);
+  if (!want_alive) return out;
+
+  const double threshold = out.gini_min.valid
+                               ? out.gini_min.gini
+                               : std::numeric_limits<double>::infinity();
+  std::vector<AliveInterval> alive;
+  evals = 0;
+  base = 0;
+  for (int a = 0; a < data::kNumNumeric; ++a) {
+    const auto& hist = stats.hists[static_cast<std::size_t>(a)];
+    clouds::owned_alive_intervals(
+        hist, a, assign.intervals(a, base, hist.bounds.size()), threshold,
+        alive, evals);
+    base += hist.bounds.size();
+  }
+  hooks.charge_gini(evals * (1u << data::kNumClasses));
+  out.alive = share_alive(comm, std::move(alive));
+  return out;
 }
 
 }  // namespace
@@ -188,31 +167,18 @@ BoundaryDerivation derive_replicated(mp::Comm& comm, CombineMethod method,
                                      const NodeStats& global, bool want_alive,
                                      const clouds::CostHooks& hooks) {
   auto sp = hooks.span("gini-evaluation", "pclouds");
-  BoundaryDerivation out;
-  out.counts = global.counts;
-  const WorkAssign assign{method, comm.size(), total_boundary_items(global)};
-
-  const auto local_best =
-      evaluate_owned_boundaries(global, assign, comm.rank(), hooks);
-  out.gini_min = reduce_candidates(comm, local_best);
-
-  if (want_alive) {
-    const double threshold =
-        out.gini_min.valid ? out.gini_min.gini
-                           : std::numeric_limits<double>::infinity();
-    auto mine = owned_alive_intervals(global, assign, comm.rank(), threshold,
-                                      hooks);
-    out.alive = share_alive(comm, std::move(mine));
-  }
-  return out;
+  return derive_owned(comm, method, global, want_alive, hooks);
 }
 
 BoundaryDerivation derive_distributed(mp::Comm& comm, const NodeStats& local,
                                       bool want_alive,
                                       const clouds::CostHooks& hooks) {
   auto sp = hooks.span("gini-evaluation", "pclouds");
-  BoundaryDerivation out;
-  out.counts = comm.all_reduce<data::ClassCounts>(
+  // Each numeric attribute's local vectors are gathered to its owner only —
+  // the "approximately distributes these statistics among the processors"
+  // alternative.  Owners keep the global vectors for the aliveness step.
+  NodeStats owned = local;  // boundary layout reused; counts replaced below
+  owned.counts = comm.all_reduce<data::ClassCounts>(
       local.counts, [](data::ClassCounts a, const data::ClassCounts& b) {
         a += b;
         return a;
@@ -226,12 +192,6 @@ BoundaryDerivation derive_distributed(mp::Comm& comm, const NodeStats& local,
   }
   const auto cat_global = comm.all_reduce_vec<std::int64_t>(cat_flat);
 
-  // Each numeric attribute's local vectors are gathered to its owner only —
-  // the "approximately distributes these statistics among the processors"
-  // alternative.  Owners keep the global vectors for the aliveness step.
-  NodeStats owned = local;  // boundary layout reused; freq replaced below
-  const WorkAssign assign{CombineMethod::kDistributed, comm.size(),
-                          total_boundary_items(local)};
   for (int a = 0; a < data::kNumNumeric; ++a) {
     const int owner = a % comm.size();
     auto& hist = owned.hists[static_cast<std::size_t>(a)];
@@ -265,20 +225,8 @@ BoundaryDerivation derive_distributed(mp::Comm& comm, const NodeStats& local,
     m.unflatten(std::span<const std::int64_t>(cat_global.data() + cat_off, len));
     cat_off += len;
   }
-
-  const auto local_best =
-      evaluate_owned_boundaries(owned, assign, comm.rank(), hooks);
-  out.gini_min = reduce_candidates(comm, local_best);
-
-  if (want_alive) {
-    const double threshold =
-        out.gini_min.valid ? out.gini_min.gini
-                           : std::numeric_limits<double>::infinity();
-    auto mine = owned_alive_intervals(owned, assign, comm.rank(), threshold,
-                                      hooks);
-    out.alive = share_alive(comm, std::move(mine));
-  }
-  return out;
+  return derive_owned(comm, CombineMethod::kDistributed, owned, want_alive,
+                      hooks);
 }
 
 // ------------------------------------------------- voting combiner ---
@@ -425,30 +373,14 @@ BoundaryDerivation derive_voting(mp::Comm& comm, const NodeStats& local,
   }
 
   auto sp = hooks.span("gini-evaluation", "pclouds");
-  BoundaryDerivation out;
-  out.counts = global.counts;
   std::array<int, data::kNumAttributes> ordinal;
   ordinal.fill(-1);
   for (std::size_t i = 0; i < vd.candidates.size(); ++i) {
     ordinal[static_cast<std::size_t>(vd.candidates[i])] =
         static_cast<int>(i);
   }
-  const WorkAssign assign{CombineMethod::kVoting, comm.size(),
-                          total_boundary_items(global), &ordinal};
-
-  const auto local_best =
-      evaluate_owned_boundaries(global, assign, comm.rank(), hooks);
-  out.gini_min = reduce_candidates(comm, local_best);
-
-  if (want_alive) {
-    const double threshold =
-        out.gini_min.valid ? out.gini_min.gini
-                           : std::numeric_limits<double>::infinity();
-    auto mine = owned_alive_intervals(global, assign, comm.rank(), threshold,
-                                      hooks);
-    out.alive = share_alive(comm, std::move(mine));
-  }
-  return out;
+  return derive_owned(comm, CombineMethod::kVoting, global, want_alive, hooks,
+                      &ordinal);
 }
 
 }  // namespace pdc::pclouds

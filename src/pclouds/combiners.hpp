@@ -8,7 +8,9 @@
 // All variants produce identical results on every rank; they differ in
 // which rank evaluates which gini candidates (modeled compute balance) and
 // in how the global frequency vectors are materialized (communication
-// pattern and volume).
+// pattern and volume).  The rules themselves are CLOUDS's
+// (clouds::evaluate_owned_boundaries, clouds::owned_alive_intervals), run
+// over the items each rank owns.
 
 #include <cstdint>
 #include <span>

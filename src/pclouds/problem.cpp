@@ -185,22 +185,22 @@ std::optional<CloudsProblem::Router> CloudsProblem::decide(
     // broadcast entirely.
     bd = derive_voting(comm, ctx.local, cfg_.vote_k, cfg_.hist_bits,
                        want_alive, hooks_);
-  } else if (!sketch_mode()) {
-    NodeStats global = ctx.local;  // boundary layout; frequencies replaced
-    decode_stats(stats, global);
-    bd = derive_replicated(comm, cfg_.combiner, global, want_alive, hooks_);
   } else {
-    // Sketch mode did not ship interval statistics through the driver;
-    // combine them here with one broadcast + fold.
-    const auto blobs =
-        comm.all_to_all_broadcast<std::byte>(encode_stats(ctx.local));
-    std::vector<std::byte> acc = blobs[0];
-    for (int r = 1; r < comm.size(); ++r) {
-      acc = combine_stats_blobs(std::move(acc),
-                                blobs[static_cast<std::size_t>(r)]);
+    // Sample mode combined the interval statistics in the driver's
+    // exchange; sketch mode shipped only sketches there, so it combines
+    // them here with one broadcast + fold.
+    std::vector<std::byte> folded;
+    if (sketch_mode()) {
+      auto blobs =
+          comm.all_to_all_broadcast<std::byte>(encode_stats(ctx.local));
+      folded = std::move(blobs[0]);
+      for (int r = 1; r < comm.size(); ++r) {
+        folded = combine_stats_blobs(std::move(folded),
+                                     blobs[static_cast<std::size_t>(r)]);
+      }
     }
-    NodeStats global = ctx.local;
-    decode_stats(acc, global);
+    NodeStats global = ctx.local;  // boundary layout; frequencies replaced
+    decode_stats(sketch_mode() ? folded : stats, global);
     bd = derive_replicated(comm, cfg_.combiner, global, want_alive, hooks_);
   }
 

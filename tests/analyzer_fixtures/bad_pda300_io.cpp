@@ -2,7 +2,7 @@
 #include <cstdio>
 #include <cstddef>
 
-void charge_read(std::size_t bytes);
+void charge_io(std::size_t bytes);
 
 // Uncharged: every raw site in the function is flagged.
 unsigned long uncharged_read(const char* path) {
@@ -20,7 +20,7 @@ unsigned long charged_read_is_clean(const char* path) {
   if (f == nullptr) return 0;
   char buf[16];
   const auto n = std::fread(buf, 1, sizeof(buf), f);
-  charge_read(n);
+  charge_io(n);
   std::fclose(f);
   return static_cast<unsigned long>(n);
 }

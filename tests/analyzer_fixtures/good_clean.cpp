@@ -19,7 +19,7 @@ struct Source {
   void scan(const F& fn) const;
 };
 
-void charge_read(std::size_t bytes);
+void charge_io(std::size_t bytes);
 
 // p2p-style rank branching with no collective inside is legal.
 int rank_branch_without_collective(Comm& comm) {
@@ -50,7 +50,7 @@ void charged_write(const char* path, const std::vector<char>& bytes) {
   std::FILE* f = std::fopen(path, "wb");
   if (f != nullptr) {
     std::fwrite(bytes.data(), 1, bytes.size(), f);
-    charge_read(bytes.size());
+    charge_io(bytes.size());
     std::fclose(f);
   }
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "clouds/builder.hpp"
@@ -12,6 +13,7 @@
 #include "data/agrawal.hpp"
 #include "data/dataset.hpp"
 #include "io/scratch.hpp"
+#include "mp/serialize.hpp"
 
 namespace pdc::clouds {
 namespace {
@@ -346,6 +348,46 @@ TEST(Metrics, ShapeConsistent) {
   EXPECT_EQ(s.nodes, tree.live_count());
   EXPECT_EQ(s.leaves, tree.leaf_count());
   EXPECT_EQ(s.nodes, 2 * s.leaves - 1);  // binary tree invariant
+}
+
+// ---- Charge pins ----
+
+/// 64-bit FNV-1a, the hash the checkpoint manifest uses.
+std::uint64_t fnv1a64(std::span<const std::byte> bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::byte b : bytes) {
+    hash = (hash ^ static_cast<std::uint64_t>(b)) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// The modeled clock and gini-evaluation count of a seeded in-core build,
+// hashed byte for byte.  Every modeled row in the BENCH_*.json snapshots
+// rests on these charges, so a refactor of the split kernels must leave
+// both digests exactly as they are.
+std::uint64_t build_charge_digest(SplitMethod method) {
+  CloudsConfig cfg;
+  cfg.method = method;
+  cfg.q_root = 200;
+  mp::Clock clock;
+  obs::Tracer tracer(1);
+  CostHooks hooks;
+  hooks.clock = &clock;
+  hooks.tracer = tracer.rank(0, &clock);
+  CloudsBuilder builder(cfg, hooks);
+  const auto tree = builder.build(dataset(20000, 2, 41, 0.05));
+  EXPECT_GT(tree.leaf_count(), 1u);
+  mp::WireWriter out;
+  out.put_raw(clock.snapshot());
+  out.put_raw(tracer.metrics(0).counters().at("clouds.gini_evals").value);
+  return fnv1a64(out.bytes());
+}
+
+TEST(ChargePins, SequentialBuildChargesExactlyAsPinned) {
+  EXPECT_EQ(build_charge_digest(SplitMethod::kSS), 0xef6a794a7a8c6d85u)
+      << "SS";
+  EXPECT_EQ(build_charge_digest(SplitMethod::kSSE), 0x7b8835ecab44d135u)
+      << "SSE";
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 
 #include "clouds/intervals.hpp"
 #include "data/dataset.hpp"
-#include "dc/driver.hpp"
 #include "dc/lpt.hpp"
 #include "io/scratch.hpp"
 #include "mp/runtime.hpp"
@@ -82,41 +81,6 @@ TEST(MpEdge, LargePayloadBroadcast) {
 }
 
 // ---- dc edge cases ----
-
-struct NoopProblem final : dc::DcProblem<std::uint64_t> {
-  std::vector<std::byte> local_stats(const Scan&, const dc::Task&) override {
-    return {};
-  }
-  std::vector<std::byte> combine(std::vector<std::byte> a,
-                                 const std::vector<std::byte>&) override {
-    return a;
-  }
-  std::optional<Router> decide(mp::Comm&, const std::vector<std::byte>&,
-                               const Scan&, const dc::Task&) override {
-    return std::nullopt;  // everything is a leaf
-  }
-  void solve_sequential(const dc::Task&, std::vector<std::uint64_t>) override {}
-};
-
-TEST(DcEdge, RootFileRemovedWhenNotPreserved) {
-  io::ScratchArena arena("dc_edge", 2);
-  mp::Runtime rt(2);
-  rt.run([&](mp::Comm& comm) {
-    io::LocalDisk disk(arena.rank_dir(comm.rank()), &comm.cost(),
-                       &comm.clock());
-    disk.write_file<std::uint64_t>("root.dat",
-                                   std::vector<std::uint64_t>{1, 2, 3});
-    dc::DcConfig cfg;
-    cfg.strategy = dc::Strategy::kDataParallel;
-    cfg.preserve_root_file = false;
-    dc::DcDriver<std::uint64_t> driver(cfg, disk);
-    NoopProblem problem;
-    const auto report = driver.run(comm, problem, "root.dat");
-    EXPECT_EQ(report.leaves, 1u);
-    EXPECT_FALSE(disk.exists("root.dat"));
-  });
-  EXPECT_EQ(arena.bytes_on_disk(), 0u);
-}
 
 TEST(DcEdge, LptMakespanWithinClassicBound) {
   // LPT guarantee: makespan <= (4/3 - 1/(3m)) * OPT, and OPT >= max(total/m,

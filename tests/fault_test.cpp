@@ -257,6 +257,39 @@ TEST(Checkpoint, CorruptBlobInvalidatesTheSnapshot) {
   EXPECT_THROW(store.read_blob(1, "state"), std::runtime_error);
 }
 
+TEST(Checkpoint, ReadingOneBlobReadsTheManifestAndThatBlobOnly) {
+  DiskRig rig;
+  io::LocalDisk disk(rig.arena.rank_dir(0), &rig.cost, &rig.clock);
+  CheckpointStore store(disk);
+  std::vector<CheckpointBlob> blobs;
+  for (int i = 0; i < 32; ++i) {
+    blobs.push_back({"task_" + std::to_string(i),
+                     bytes_of("blob " + std::to_string(i))});
+  }
+  store.write(1, blobs);
+  const auto before = disk.stats().read_ops;
+  EXPECT_EQ(store.read_blob(1, "task_17"), bytes_of("blob 17"));
+  // Restoring T blobs costs 2T reads, not one validation of all T per blob.
+  EXPECT_EQ(disk.stats().read_ops - before, 2u);
+}
+
+TEST(Checkpoint, BlobCorruptedAfterValidationStillThrows) {
+  DiskRig rig;
+  io::LocalDisk disk(rig.arena.rank_dir(0), &rig.cost, &rig.clock);
+  CheckpointStore store(disk);
+  store.write(1, std::vector<CheckpointBlob>{{"state", bytes_of("payload")},
+                                             {"task_0", bytes_of("records")},
+                                             {"task_1", bytes_of("more")}});
+  ASSERT_EQ(store.valid_versions(), (std::vector<std::uint64_t>{1}));
+  auto flipped = disk.read_file<std::byte>("pdc.ckpt.v1.task_0");
+  flipped[0] ^= std::byte{0xff};  // same size: only the checksum differs
+  disk.write_file<std::byte>("pdc.ckpt.v1.task_0", flipped);
+  disk.write_file<std::byte>("pdc.ckpt.v1.task_1", bytes_of("mor"));
+  EXPECT_THROW(store.read_blob(1, "task_0"), std::runtime_error);
+  EXPECT_THROW(store.read_blob(1, "task_1"), std::runtime_error);
+  EXPECT_THROW(store.read_blob(1, "task_2"), std::runtime_error);
+}
+
 TEST(Checkpoint, MissingManifestMeansInvalid) {
   DiskRig rig;
   io::LocalDisk disk(rig.arena.rank_dir(0), &rig.cost, &rig.clock);

@@ -13,6 +13,8 @@
 #include "clouds/splitters.hpp"
 #include "data/agrawal.hpp"
 #include "mp/runtime.hpp"
+#include "mp/serialize.hpp"
+#include "obs/trace.hpp"
 #include "pclouds/alive.hpp"
 #include "pclouds/combiners.hpp"
 #include "pclouds/stats_codec.hpp"
@@ -301,6 +303,58 @@ TEST(AliveParallel, NoAliveIntervalsReturnsBoundaryBest) {
     EXPECT_DOUBLE_EQ(outcome.survival, 0.0);
     EXPECT_EQ(outcome.points_shipped, 0u);
   });
+}
+
+/// 64-bit FNV-1a, the hash the checkpoint manifest uses.
+std::uint64_t fnv1a64(std::span<const std::byte> bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::byte b : bytes) {
+    hash = (hash ^ static_cast<std::uint64_t>(b)) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// Every rank's modeled clock after each derive_* call at p = 4, and its
+// gini-evaluation count, hashed byte for byte.  The combiners' charges
+// feed every modeled row in the BENCH_*.json snapshots, so a refactor of
+// the split kernels must leave this digest exactly as it is.
+TEST(ChargePins, EveryDeriveChargesEveryRankExactlyAsPinned) {
+  const int p = 4;
+  const int q = 32;
+  const auto w = make_workload(q, 3);
+  std::vector<std::vector<mp::ClockSnapshot>> clocks(p);
+  obs::Tracer tracer(p);
+  mp::Runtime rt(p);
+  rt.run(
+      [&](mp::Comm& comm) {
+        const CostHooks hooks{&comm.clock(), comm.cost().machine(),
+                              comm.tracer()};
+        const auto local = local_stats_of(w, comm.rank(), p, q);
+        auto& mine = clocks[static_cast<std::size_t>(comm.rank())];
+        for (const bool alive : {false, true}) {
+          for (const auto method : {CombineMethod::kReplicationAttribute,
+                                    CombineMethod::kReplicationInterval,
+                                    CombineMethod::kReplicationHybrid}) {
+            derive_replicated(comm, method, w.global, alive, hooks);
+            mine.push_back(comm.clock().snapshot());
+          }
+          derive_distributed(comm, local, alive, hooks);
+          mine.push_back(comm.clock().snapshot());
+          for (const int vote_k : {1, 5}) {
+            derive_voting(comm, local, vote_k, /*hist_bits=*/0, alive, hooks);
+            mine.push_back(comm.clock().snapshot());
+          }
+        }
+      },
+      &tracer);
+  mp::WireWriter out;
+  for (int r = 0; r < p; ++r) {
+    for (const auto& snap : clocks[static_cast<std::size_t>(r)]) {
+      out.put_raw(snap);
+    }
+    out.put_raw(tracer.metrics(r).counters().at("clouds.gini_evals").value);
+  }
+  EXPECT_EQ(fnv1a64(out.bytes()), 0x4b021cce93d00778u);
 }
 
 }  // namespace
