@@ -16,7 +16,18 @@
 // training streams' block size, MemoryBudget::paper_scaled(n)
 // .block_records(sizeof(Record), 3), at n = 500k and 2M.  items_per_second
 // is records streamed per second; the write pass includes creating the
-// file.  CI runs it as
+// file.
+//
+// BM_TaskFiles times a partition step's file lifecycle at queue depth 0:
+// N records (the argument, 1040 or 4161) split between two BlockWriters
+// into new names, both closed, then the previous step's pair removed.
+// Each side gets one block request, so the step is mostly the two opens
+// and the two removes.  It runs a fixed 4,000 steps (8,000 files through
+// one directory): on ext4, creating a file can cost far more after such
+// churn than in a fresh directory, which LocalDisk's recycled inodes
+// avoid.  items_per_second is records per second; `files` counts files
+// written.
+// CI runs the binary as
 //
 //   ./build/bench/layers --benchmark_min_time=0.2
 //       --benchmark_out=bench_layers.json --benchmark_out_format=json
@@ -25,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "clouds/splitters.hpp"
@@ -113,8 +125,37 @@ void BM_BlockWrite(benchmark::State& state) {
                           static_cast<std::int64_t>(recs.size()));
 }
 
+void BM_TaskFiles(benchmark::State& state) {
+  const auto& recs = records();
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto name = [](std::int64_t step, int side) {
+    return "task_" + std::to_string(2 * step + side);
+  };
+  ScratchDisk d;
+  std::int64_t step = 0;
+  for (auto _ : state) {
+    {
+      pdc::io::BlockWriter<Record> left(d.disk, name(step, 0), n);
+      pdc::io::BlockWriter<Record> right(d.disk, name(step, 1), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        (i % 2 == 0 ? left : right).append(recs[i]);
+      }
+      left.close();
+      right.close();
+    }
+    if (step > 0) {
+      d.disk.remove(name(step - 1, 0));
+      d.disk.remove(name(step - 1, 1));
+    }
+    ++step;
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["files"] = static_cast<double>(2 * step);
+}
+
 BENCHMARK(BM_BlockRead)->Arg(1040)->Arg(4161);
 BENCHMARK(BM_BlockWrite)->Arg(1040)->Arg(4161);
+BENCHMARK(BM_TaskFiles)->Arg(1040)->Arg(4161)->Iterations(4000);
 
 }  // namespace
 

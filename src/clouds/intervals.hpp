@@ -107,20 +107,6 @@ struct IntervalHist {
     ++freq[interval_of(v)][static_cast<std::size_t>(label)];
   }
 
-  /// Class counts at or below boundary j (i.e. the left side of the split
-  /// "value <= bounds[j]"), computed by prefix sum over intervals 0..j.
-  /// The paper performs exactly this prefix-sum step before evaluating gini
-  /// at the boundary points.
-  std::vector<data::ClassCounts> prefix_counts() const {
-    std::vector<data::ClassCounts> prefix(bounds.size());
-    data::ClassCounts acc{};
-    for (std::size_t j = 0; j < bounds.size(); ++j) {
-      acc += freq[j];
-      prefix[j] = acc;
-    }
-    return prefix;
-  }
-
   data::ClassCounts total_counts() const {
     data::ClassCounts acc{};
     for (const auto& f : freq) acc += f;

@@ -77,7 +77,8 @@ DiskOutcome execute(const DiskRequest& req) {
   FilePtr owned;
   std::FILE* file = req.file;
   if (file == nullptr) {
-    owned.reset(std::fopen(req.path, req.is_write ? "wb" : "rb"));
+    owned = req.is_write ? req.pool->open_empty(req.path)
+                         : FilePtr(std::fopen(req.path, "rb"));
     file = owned.get();
     if (file == nullptr) return die(DiskStatus::kIoError);
   }

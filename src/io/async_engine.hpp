@@ -33,6 +33,7 @@
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
 #include "fault/fault.hpp"
+#include "io/inode_pool.hpp"
 
 namespace pdc::io {
 
@@ -54,13 +55,6 @@ struct RetryPolicy {
   }
 };
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
 enum class DiskStatus {
   kOk,       ///< real I/O performed (possibly after absorbed retries)
   kFailed,   ///< injected failures exhausted the retry budget
@@ -80,10 +74,14 @@ struct DiskOutcome {
 
 struct DiskRequest {
   /// The stream's open file.  Null for a whole-file request, which opens
-  /// `path` ("wb" or "rb") only once the fault loop lets it through, so a
-  /// write that gives up leaves the old file as it was.
+  /// `path` only once the fault loop lets it through, so a write that gives
+  /// up leaves the old file as it was.
   std::FILE* file = nullptr;
   const char* path = nullptr;
+  /// The disk's pool, which opens a whole-file write
+  /// (InodePool::open_empty).  Whole-file requests run inline, so only the
+  /// rank thread touches it.
+  InodePool* pool = nullptr;
   bool is_write = false;
   void* dst = nullptr;        ///< read destination (owned by the caller)
   const void* src = nullptr;  ///< write source (owned by the caller)

@@ -21,6 +21,13 @@
 // runs out, fault::DiskFault propagates.  An injected torn write puts a
 // partial prefix of the payload on disk and then throws — modeling a crash
 // mid-write, the case a checkpoint manifest exists to detect.
+//
+// Files are recycled, not unlinked (io/inode_pool.hpp): remove() keeps the
+// emptied file as a free `.free.<k>` entry of the directory, and every file
+// written from empty -- a BlockWriter stream or a write_file -- opens
+// through open_empty(), which hands a new name a free file.  None of this
+// is a disk request: the modeled clock, IoStats and the bytes on disk are
+// the same as with fresh files.
 
 #include <algorithm>
 #include <cstdint>
@@ -33,6 +40,7 @@
 
 #include "fault/fault.hpp"
 #include "io/async_engine.hpp"
+#include "io/inode_pool.hpp"
 #include "io/iostats.hpp"
 #include "mp/clock.hpp"
 #include "mp/cost_model.hpp"
@@ -47,13 +55,12 @@ class LocalDisk {
             mp::Clock* clock, obs::RankTracer tracer = {},
             fault::RankFault* fault = nullptr, RetryPolicy retry = {})
       : dir_(std::move(dir)),
+        pool_(dir_),
         cost_(cost),
         clock_(clock),
         tracer_(tracer),
         fault_(fault),
-        retry_(retry) {
-    std::filesystem::create_directories(dir_);
-  }
+        retry_(retry) {}
 
   const std::filesystem::path& dir() const { return dir_; }
   IoStats& stats() { return stats_; }
@@ -80,10 +87,18 @@ class LocalDisk {
     return file_bytes(name) / sizeof(T);
   }
 
-  void remove(const std::string& name) {
-    std::error_code ec;
-    std::filesystem::remove(path_of(name), ec);
+  /// Drops `name` (a no-op if it is missing); its emptied file is kept
+  /// for the next new name (InodePool::release).
+  void remove(const std::string& name) { pool_.release(path_of(name)); }
+
+  /// Opens `name` for writing from empty; null if it will not open
+  /// (InodePool::open_empty).
+  FilePtr open_empty(const std::string& name) {
+    return pool_.open_empty(path_of(name));
   }
+
+  /// Emptied files kept for reuse in this disk's directory.
+  std::size_t free_files() const { return pool_.size(); }
 
   /// Write a whole typed file in one request (overwrites).  The file is
   /// opened only once the request's fault loop lets it through, so a write
@@ -92,6 +107,7 @@ class LocalDisk {
   void write_file(const std::string& name, std::span<const T> data) {
     const auto path = path_of(name);
     run_inline({.path = path.c_str(),
+                .pool = &pool_,
                 .is_write = true,
                 .src = data.data(),
                 .bytes = data.size_bytes()},
@@ -252,6 +268,7 @@ class LocalDisk {
   }
 
   std::filesystem::path dir_;
+  InodePool pool_;
   const mp::CostModel* cost_;
   mp::Clock* clock_;
   /// Op-level trace events (disabled/no-op by default).

@@ -184,7 +184,8 @@ class BlockWriter {
         block_records_(std::max<std::size_t>(1, block_records)),
         depth_(cfg.queue_depth) {
     // pdc: io-wrapper(opens the stream only; each block request is charged at LocalDisk::settle)
-    file_.reset(std::fopen(disk.path_of(name).c_str(), append ? "ab" : "wb"));
+    file_ = append ? FilePtr(std::fopen(disk.path_of(name).c_str(), "ab"))
+                   : disk.open_empty(name);
     if (!file_) throw std::runtime_error("BlockWriter: cannot open " + name);
     buffer_.reserve(block_records_);
   }

@@ -35,7 +35,6 @@ struct Machine {
   double cpu_scan_op = 0.25e-6;  ///< per record-attribute scan step
   double cpu_gini_op = 0.60e-6;  ///< per gini evaluation at one candidate
   double cpu_cmp_op = 0.08e-6;   ///< per comparison in a sort
-  double cpu_byte_op = 2.0e-9;   ///< per byte of in-memory data movement
 
   /// An IBM SP2-like preset (the paper's testbed).  Same as the defaults.
   static Machine sp2_like() { return Machine{}; }

@@ -431,11 +431,11 @@ void put_stats(mp::WireWriter& out, const NodeStats& s) {
   }
 }
 
-/// Every consumer of a NodeStats (NodeStats::add, prefix_counts,
-/// find_alive_intervals, ss_split) indexes one histogram per numeric
-/// attribute with one more interval than boundaries, and one count matrix
-/// per categorical attribute, in order, with a row per attribute value: a
-/// restored blob must have exactly that shape.
+/// Every consumer of a NodeStats (NodeStats::add, ss_split,
+/// find_alive_intervals and the combiners' owned rules) indexes one
+/// histogram per numeric attribute with one more interval than boundaries,
+/// and one count matrix per categorical attribute, in order, with a row
+/// per attribute value: a restored blob must have exactly that shape.
 NodeStats get_stats(mp::WireReader& in) {
   NodeStats s;
   s.counts = in.get_raw<data::ClassCounts>();

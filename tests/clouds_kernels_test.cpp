@@ -176,11 +176,27 @@ TEST(Intervals, PrefixCountsAccumulate) {
   h.add(10.0f, 1);
   h.add(15.0f, 0);
   h.add(25.0f, 1);
-  auto prefix = h.prefix_counts();
-  ASSERT_EQ(prefix.size(), 2u);
-  EXPECT_EQ(prefix[0], (ClassCounts{{{1, 1}}}));  // <= 10
-  EXPECT_EQ(prefix[1], (ClassCounts{{{2, 1}}}));  // <= 20
-  EXPECT_EQ(h.total_counts(), (ClassCounts{{{2, 2}}}));
+  const ClassCounts total{{{2, 2}}};
+  EXPECT_EQ(h.total_counts(), total);
+  // The boundary rule accumulates the class counts at or below boundary j
+  // (the paper's prefix-sum step) and scores that side against the rest.
+  const ClassCounts at_or_below[] = {ClassCounts{{{1, 1}}},   // <= 10
+                                     ClassCounts{{{2, 1}}}};  // <= 20
+  for (std::size_t j = 0; j < 2; ++j) {
+    const std::size_t owned[] = {j};
+    std::uint64_t evaluated = 0;
+    const auto c = evaluate_owned_boundaries(h, 0, owned, evaluated);
+    ASSERT_TRUE(c.valid) << "j = " << j;
+    EXPECT_EQ(c.split.threshold, h.bounds[j]);
+    EXPECT_DOUBLE_EQ(c.gini,
+                     split_gini(at_or_below[j], total - at_or_below[j]));
+    EXPECT_EQ(evaluated, 1u);
+  }
+  const std::size_t both[] = {0, 1};
+  std::uint64_t evaluated = 0;
+  const auto best = evaluate_owned_boundaries(h, 0, both, evaluated);
+  EXPECT_EQ(best.split.threshold, 20.0f);  // gini 1/3 beats 1/2
+  EXPECT_EQ(evaluated, 2u);
 }
 
 TEST(Categorical, CountMatrixAccumulatesAndFlattens) {

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -14,6 +16,7 @@
 #include "dc/driver.hpp"
 #include "dc/lpt.hpp"
 #include "dc/problem.hpp"
+#include "fault/fault.hpp"
 #include "io/scratch.hpp"
 #include "mp/runtime.hpp"
 
@@ -71,7 +74,7 @@ struct Outcome {
   std::uint64_t leaf_checksum_unused = 0;
 };
 
-class BisectProblem final : public DcProblem<std::uint64_t> {
+class BisectProblem : public DcProblem<std::uint64_t> {
  public:
   BisectProblem(std::uint64_t leaf_limit, Outcome* outcome, int rank)
       : leaf_limit_(leaf_limit), outcome_(outcome), rank_(rank) {}
@@ -321,6 +324,109 @@ TEST(Driver, CleansUpIntermediateFiles) {
   run_bisect(4, Strategy::kMixed, 2000, 300, 32, rr);
   // Only the 4 preserved root files may remain.
   EXPECT_EQ(rr.bytes_left_on_disk, rr.input_n * sizeof(std::uint64_t));
+}
+
+// ---- Recycled files stay bounded across checkpoints and a kill/resume ----
+
+/// Counts a rank directory's live files and the free ones LocalDisk keeps
+/// for reuse, keeping the peak of each.
+struct DirWatch {
+  std::size_t peak_live = 0;
+  std::size_t most_free = 0;
+
+  void sample(const io::LocalDisk& disk) {
+    std::size_t live = 0;
+    std::size_t free = 0;
+    for (const auto& e : std::filesystem::directory_iterator(disk.dir())) {
+      const bool is_free = e.path().filename().string().starts_with(".free.");
+      (is_free ? free : live) += 1;
+    }
+    EXPECT_EQ(free, disk.free_files());
+    peak_live = std::max(peak_live, live);
+    most_free = std::max(most_free, free);
+  }
+};
+
+/// BisectProblem that samples its rank's directory at every hook.
+class WatchedBisect final : public BisectProblem {
+ public:
+  WatchedBisect(Outcome* outcome, int rank, std::function<void()> sample)
+      : BisectProblem(/*leaf_limit=*/16, outcome, rank),
+        sample_(std::move(sample)) {}
+
+  std::vector<std::byte> local_stats(const Scan& scan,
+                                     const Task& task) override {
+    sample_();
+    return BisectProblem::local_stats(scan, task);
+  }
+  void on_leaf(mp::Comm& comm, const Task& task) override {
+    sample_();
+    BisectProblem::on_leaf(comm, task);
+  }
+  void solve_sequential(const Task& task,
+                        std::vector<std::uint64_t> data) override {
+    sample_();
+    BisectProblem::solve_sequential(task, std::move(data));
+  }
+  std::vector<std::byte> export_state() const override {
+    sample_();
+    return {};
+  }
+
+ private:
+  std::function<void()> sample_;
+};
+
+TEST(Driver, FreeFilesNeverOutnumberThePeakOfLiveFiles) {
+  // Every snapshot copies the pending tasks' files and drops an older
+  // snapshot, so with checkpoint_every = 2 each rank rewrites and removes
+  // hundreds of files; the killed run's free files are adopted by the
+  // resumed run's disks.
+  const int p = 2;
+  io::ScratchArena arena("dc_pool", p);
+  std::vector<DirWatch> watch(p);
+  const auto run = [&](bool resume, const fault::FaultPlan* plan) {
+    Outcome outcome;
+    DcReport report;
+    mp::Runtime rt(p);
+    rt.run(
+        [&](mp::Comm& comm) {
+          io::LocalDisk disk(arena.rank_dir(comm.rank()), &comm.cost(),
+                             &comm.clock(), comm.tracer(), comm.fault());
+          DirWatch& w = watch[static_cast<std::size_t>(comm.rank())];
+          std::vector<std::uint64_t> mine;
+          for (std::uint64_t i = 0; i < 6000; ++i) {
+            if (i % p == static_cast<std::uint64_t>(comm.rank())) {
+              mine.push_back((i * 2654435761u) % 100'000);
+            }
+          }
+          disk.write_file<std::uint64_t>("root.dat", mine);
+          DcConfig cfg;
+          cfg.strategy = Strategy::kMixed;
+          cfg.small_threshold = 200;
+          cfg.memory_bytes = 1 << 14;
+          cfg.checkpoint_every = 2;
+          cfg.resume = resume;
+          DcDriver<std::uint64_t> driver(cfg, disk);
+          WatchedBisect problem(&outcome, comm.rank(),
+                                [&] { w.sample(disk); });
+          const auto r = driver.run(comm, problem, "root.dat");
+          w.sample(disk);
+          if (comm.rank() == 0) report = r;
+        },
+        nullptr, plan);
+    return report;
+  };
+
+  const auto plan = fault::FaultPlan::parse("disk_read:rank=1:op=400:times=8");
+  EXPECT_THROW(run(/*resume=*/false, &plan), fault::DiskFault);
+  const auto resumed = run(/*resume=*/true, nullptr);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_GT(resumed.checkpoints, 10u);
+  for (const auto& w : watch) {
+    EXPECT_GT(w.most_free, 0u);
+    EXPECT_LE(w.most_free, w.peak_live);
+  }
 }
 
 TEST(Driver, EmptyInputIsOneEmptyLeaf) {

@@ -28,6 +28,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <string>
@@ -126,6 +127,37 @@ TEST(PipelineProperty, RandomInstancesMatchSynchronousByteForByte) {
   EXPECT_EQ(pipe_rig.disk.stats().write_ops, sync_rig.disk.stats().write_ops);
   EXPECT_EQ(pipe_rig.disk.stats().bytes_written,
             sync_rig.disk.stats().bytes_written);
+}
+
+TEST(PipelineProperty, RecycledFileHoldsOnlyItsOwnRecords) {
+  // A removed 4,161-record file's inode comes back for the next new name;
+  // the stream must not leave its predecessor's tail behind, at any depth.
+  for (const std::size_t depth : {0u, 3u}) {
+    Rig rig("pipe_recycle");
+    std::vector<std::int64_t> parent(4161);
+    std::iota(parent.begin(), parent.end(), 1'000'000);
+    {
+      io::BlockWriter<std::int64_t> w(rig.disk, "parent", 1040,
+                                      depth_of(depth));
+      w.append(parent);
+      w.close();
+    }
+    rig.disk.remove("parent");
+    ASSERT_EQ(rig.disk.free_files(), 1u);
+    std::vector<std::int64_t> child(1047);
+    std::iota(child.begin(), child.end(), 7);
+    {
+      io::BlockWriter<std::int64_t> w(rig.disk, "child", 256,
+                                      depth_of(depth));
+      w.append(child);
+      w.close();
+    }
+    EXPECT_EQ(rig.disk.free_files(), 0u) << "depth " << depth;
+    EXPECT_EQ(rig.disk.file_bytes("child"), child.size() * sizeof(child[0]))
+        << "depth " << depth;
+    EXPECT_EQ(read_all(rig.disk, "child", 300, depth), child)
+        << "depth " << depth;
+  }
 }
 
 TEST(PipelineProperty, EmptyFileYieldsNoBlocksAndNoRequests) {

@@ -2,10 +2,15 @@
 // streaming, I/O accounting, and the memory budget.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdint>
+#include <deque>
 #include <filesystem>
+#include <iterator>
 #include <numeric>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "io/local_disk.hpp"
@@ -149,6 +154,139 @@ TEST_F(DiskFixture, BytesOnDiskTracksContent) {
   EXPECT_EQ(arena.bytes_on_disk(), 0u);
   disk.write_file<std::byte>("big.bin", std::vector<std::byte>(4096));
   EXPECT_EQ(arena.bytes_on_disk(), 4096u);
+}
+
+// ---- Recycled inodes: remove() keeps emptied files for new names ----
+
+ino_t inode_of(const fs::path& p) {
+  struct stat st {};
+  EXPECT_EQ(::stat(p.c_str(), &st), 0) << p;
+  return st.st_ino;
+}
+
+std::size_t entries(const fs::path& dir) {
+  return static_cast<std::size_t>(
+      std::distance(fs::directory_iterator(dir), fs::directory_iterator{}));
+}
+
+TEST_F(DiskFixture, RemoveKeepsTheInodeAsAnEmptyFreeFile) {
+  disk.write_file<int>("a.bin", std::vector<int>(1000, 7));
+  const auto ino = inode_of(disk.path_of("a.bin"));
+  disk.remove("a.bin");
+  EXPECT_FALSE(disk.exists("a.bin"));
+  EXPECT_EQ(disk.free_files(), 1u);
+  ASSERT_EQ(entries(disk.dir()), 1u);
+  const auto free_file = fs::directory_iterator(disk.dir())->path();
+  EXPECT_TRUE(free_file.filename().string().starts_with(".free."));
+  EXPECT_EQ(fs::file_size(free_file), 0u);
+  EXPECT_EQ(inode_of(free_file), ino);
+}
+
+TEST_F(DiskFixture, RemovingAMissingNameIsANoOp) {
+  disk.remove("nope.bin");
+  EXPECT_EQ(disk.free_files(), 0u);
+  EXPECT_EQ(entries(disk.dir()), 0u);
+}
+
+TEST_F(DiskFixture, WriteFileToANewNameDrawsFromThePool) {
+  disk.write_file<int>("a.bin", std::vector<int>(1000, 7));
+  const auto ino = inode_of(disk.path_of("a.bin"));
+  disk.remove("a.bin");
+  disk.write_file<int>("b.bin", std::vector<int>{1, 2, 3});
+  EXPECT_EQ(inode_of(disk.path_of("b.bin")), ino);
+  EXPECT_EQ(disk.free_files(), 0u);
+  EXPECT_EQ(entries(disk.dir()), 1u);
+  EXPECT_EQ(disk.read_file<int>("b.bin"), (std::vector<int>{1, 2, 3}));
+}
+
+TEST_F(DiskFixture, ExistingNameIsTruncatedNotSwapped) {
+  disk.write_file<int>("a.bin", std::vector<int>(1000, 7));
+  disk.write_file<int>("gone.bin", std::vector<int>(10, 1));
+  disk.remove("gone.bin");
+  const auto ino = inode_of(disk.path_of("a.bin"));
+  disk.write_file<int>("a.bin", std::vector<int>{4, 5});
+  EXPECT_EQ(inode_of(disk.path_of("a.bin")), ino);
+  EXPECT_EQ(disk.free_files(), 1u);
+  EXPECT_EQ(disk.read_file<int>("a.bin"), (std::vector<int>{4, 5}));
+}
+
+TEST_F(DiskFixture, BytesOnDiskIgnoresFreeFiles) {
+  disk.write_file<std::byte>("big.bin", std::vector<std::byte>(4096));
+  disk.remove("big.bin");
+  EXPECT_EQ(disk.free_files(), 1u);
+  EXPECT_EQ(arena.bytes_on_disk(), 0u);
+  disk.write_file<std::byte>("small.bin", std::vector<std::byte>(100));
+  EXPECT_EQ(arena.bytes_on_disk(), 100u);
+}
+
+TEST_F(DiskFixture, ChurnWithTwoLiveFilesKeepsAtMostThreeEntries) {
+  // 1,000 partition-like cycles: stream a new file, then remove the older
+  // of the two live ones.  Only the first three files are ever created.
+  std::deque<std::string> live;
+  std::size_t most = 0;
+  for (int i = 0; i < 1000; ++i) {
+    live.push_back("f" + std::to_string(i));
+    {
+      BlockWriter<int> w(disk, live.back(), 16);
+      for (int k = 0; k < 20 + i % 7; ++k) w.append(i);
+    }
+    if (live.size() > 2) {
+      disk.remove(live.front());
+      live.pop_front();
+    }
+    most = std::max(most, entries(disk.dir()));
+  }
+  EXPECT_LE(most, 3u);
+  EXPECT_EQ(disk.read_file<int>("f999"), std::vector<int>(20 + 999 % 7, 999));
+  EXPECT_EQ(disk.read_file<int>("f998"), std::vector<int>(20 + 998 % 7, 998));
+}
+
+TEST(InodePool, ASecondDiskOnTheDirectoryCreatesNoNewInode) {
+  ScratchArena arena("io_adopt", 1);
+  mp::CostModel cost{mp::Machine{}};
+  mp::Clock clock;
+  std::set<ino_t> inodes;
+  {
+    LocalDisk first(arena.rank_dir(0), &cost, &clock);
+    for (int i = 0; i < 8; ++i) {
+      const auto name = "a" + std::to_string(i);
+      first.write_file<int>(name, std::vector<int>(100, i));
+      inodes.insert(inode_of(first.path_of(name)));
+    }
+    for (int i = 0; i < 8; ++i) first.remove("a" + std::to_string(i));
+  }
+  LocalDisk second(arena.rank_dir(0), &cost, &clock);
+  EXPECT_EQ(second.free_files(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    const auto name = "b" + std::to_string(i);
+    if (i % 2 == 0) {
+      second.write_file<int>(name, std::vector<int>{i});
+    } else {
+      BlockWriter<int> w(second, name, 16);
+      w.append(i);
+    }
+    EXPECT_TRUE(inodes.contains(inode_of(second.path_of(name)))) << name;
+    EXPECT_EQ(second.read_file<int>(name), std::vector<int>{i});
+  }
+  EXPECT_EQ(second.free_files(), 0u);
+  EXPECT_EQ(entries(arena.rank_dir(0)), 8u);
+}
+
+TEST(InodePool, TornWriteIntoARecycledInodeLeavesExactlyItsPrefix) {
+  ScratchArena arena("io_torn", 1);
+  mp::CostModel cost{mp::Machine{}};
+  mp::Clock clock;
+  const auto plan = fault::FaultPlan::parse("disk_write:op=2:torn");
+  fault::RankFault f(&plan, 0, &clock);
+  LocalDisk disk(arena.rank_dir(0), &cost, &clock, {}, &f);
+  disk.write_file<int>("old.bin", std::vector<int>(4161, -1));  // write op 1
+  disk.remove("old.bin");
+  std::vector<int> payload(100);
+  std::iota(payload.begin(), payload.end(), 0);
+  EXPECT_THROW(disk.write_file<int>("new.bin", payload), fault::DiskFault);
+  EXPECT_EQ(disk.free_files(), 0u);
+  const auto on_disk = disk.read_file<int>("new.bin");
+  EXPECT_EQ(on_disk, std::vector<int>(payload.begin(), payload.begin() + 50));
 }
 
 TEST(MemoryBudget, FitsAndBlockSizing) {
