@@ -1,10 +1,12 @@
 #include "clouds/splitters.hpp"
 
-#include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "clouds/estimate.hpp"
 #include "obs/mem_gauge.hpp"
@@ -18,6 +20,40 @@ std::vector<std::size_t> every_index(std::size_t n) {
   std::vector<std::size_t> out(n);
   std::iota(out.begin(), out.end(), std::size_t{0});
   return out;
+}
+
+/// The exact sweep of SSE's alive intervals and of the direct method: sorts
+/// `points` by value (sort_by_value) and scores "value <= v" at each
+/// distinct value v, where `left` holds the counts already left of the
+/// points and `total` the node's.  A group of equal values (-0.0 with +0.0)
+/// takes the bits of its first value.  The sweep ends where the right side
+/// would be empty and at the first NaN, which stays right as
+/// Split::goes_left sends it.  Charges one sort and one gini per point.
+SplitCandidate sweep_values(int attr, std::vector<AlivePoint>& points,
+                            data::ClassCounts left,
+                            const data::ClassCounts& total,
+                            const CostHooks& hooks) {
+  SplitCandidate best;
+  if (points.empty()) return best;
+  sort_by_value(points, [](const AlivePoint& p) { return p.value; });
+  hooks.charge_sort(points.size());
+
+  std::size_t i = 0;
+  while (i < points.size() && !std::isnan(points[i].value)) {
+    const float v = points[i].value;
+    for (; i < points.size() && points[i].value == v; ++i) {
+      ++left[static_cast<std::size_t>(points[i].label)];
+    }
+    const auto right = total - left;
+    if (data::total(right) == 0) break;  // split at max value: useless
+    Split s;
+    s.kind = Split::Kind::kNumeric;
+    s.attr = static_cast<std::int8_t>(attr);
+    s.threshold = v;
+    best.consider(split_gini(left, right), s);
+  }
+  hooks.charge_gini(points.size());
+  return best;
 }
 
 }  // namespace
@@ -144,6 +180,30 @@ std::vector<AliveInterval> find_alive_intervals(const NodeStats& stats,
   return alive;
 }
 
+std::vector<AliveRun> alive_runs(std::span<const AliveInterval> alive) {
+  std::vector<AliveRun> runs;
+  for (std::size_t k = 0; k < alive.size(); ++k) {
+    const auto& iv = alive[k];
+    if (iv.attr < 0 || iv.attr >= data::kNumNumeric) {
+      throw std::logic_error("scan_alive: alive interval of attribute " +
+                             std::to_string(iv.attr) +
+                             " is not a numeric attribute");
+    }
+    if (k > 0 && (alive[k - 1].attr > iv.attr ||
+                  (alive[k - 1].attr == iv.attr &&
+                   alive[k - 1].interval >= iv.interval))) {
+      throw std::logic_error(
+          "scan_alive: alive intervals are not ordered by (attr, interval)");
+    }
+    if (runs.empty() || runs.back().attr != static_cast<std::size_t>(iv.attr)) {
+      runs.push_back({static_cast<std::size_t>(iv.attr), k, {}});
+    }
+    runs.back().upper.push_back(
+        iv.unbounded_hi ? std::numeric_limits<float>::infinity() : iv.hi);
+  }
+  return runs;
+}
+
 double survival_ratio(std::span<const AliveInterval> alive,
                       const data::ClassCounts& node_counts) {
   const double n = static_cast<double>(data::total(node_counts));
@@ -158,39 +218,10 @@ double survival_ratio(std::span<const AliveInterval> alive,
 SplitCandidate evaluate_alive_interval(const AliveInterval& iv,
                                        std::vector<AlivePoint> points,
                                        const CostHooks& hooks) {
-  SplitCandidate best;
-  if (points.empty()) return best;
-  std::sort(points.begin(), points.end(),
-            [](const AlivePoint& a, const AlivePoint& b) {
-              return a.value < b.value;
-            });
-  hooks.charge_sort(points.size());
-
-  const data::ClassCounts node_total = [&] {
-    data::ClassCounts t = iv.before;
-    t += iv.inside;
-    t += iv.after;
-    return t;
-  }();
-
-  data::ClassCounts left = iv.before;
-  std::size_t i = 0;
-  while (i < points.size()) {
-    const float v = points[i].value;
-    while (i < points.size() && points[i].value == v) {
-      ++left[static_cast<std::size_t>(points[i].label)];
-      ++i;
-    }
-    const auto right = node_total - left;
-    if (data::total(right) == 0) break;  // split at max value: useless
-    Split s;
-    s.kind = Split::Kind::kNumeric;
-    s.attr = static_cast<std::int8_t>(iv.attr);
-    s.threshold = v;
-    best.consider(split_gini(left, right), s);
-  }
-  hooks.charge_gini(points.size());
-  return best;
+  data::ClassCounts node_total = iv.before;
+  node_total += iv.inside;
+  node_total += iv.after;
+  return sweep_values(iv.attr, points, iv.before, node_total, hooks);
 }
 
 SplitCandidate sse_split(const NodeStats& stats,
@@ -248,28 +279,7 @@ SplitCandidate direct_split(std::span<const data::Record> records,
       column[i] = {records[i].num[static_cast<std::size_t>(a)],
                    records[i].label};
     }
-    std::sort(column.begin(), column.end(),
-              [](const AlivePoint& x, const AlivePoint& y) {
-                return x.value < y.value;
-              });
-    hooks.charge_sort(column.size());
-
-    data::ClassCounts left{};
-    std::size_t i = 0;
-    while (i < column.size()) {
-      const float v = column[i].value;
-      while (i < column.size() && column[i].value == v) {
-        ++left[static_cast<std::size_t>(column[i].label)];
-        ++i;
-      }
-      if (i == column.size()) break;  // all records left: useless split
-      Split s;
-      s.kind = Split::Kind::kNumeric;
-      s.attr = static_cast<std::int8_t>(a);
-      s.threshold = v;
-      best.consider(split_gini(left, total - left), s);
-    }
-    hooks.charge_gini(column.size());
+    best.consider(sweep_values(a, column, {}, total, hooks));
   }
 
   auto cats = make_count_matrices();

@@ -127,6 +127,92 @@ TEST(Differential, ParallelMatchesSequentialBuilderWithinTolerance) {
   EXPECT_NEAR(par.accuracy, seq_acc, 0.02);
 }
 
+// Both signed zeros in two split attributes.  pCLOUDS hands the kernels
+// the all-gathered sample, the alive buckets and the small-task payloads in
+// rank-major order, which differs with p under the random distribution, so
+// the value sorts must not let the order pick the sign of a zero threshold
+// or boundary.
+std::vector<Record> signed_zero_data(std::uint64_t n) {
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<float> u(-1.0f, 1.0f);
+  std::vector<Record> out(n);
+  for (auto& r : out) {
+    for (auto& v : r.num) v = u(rng);
+    for (auto& c : r.cat) c = static_cast<std::int8_t>(rng() % 4);
+    r.num[0] = static_cast<float>(static_cast<int>(rng() % 9) - 4);
+    if (rng() % 4 == 0) r.num[1] = 0.0f;
+    for (const std::size_t a : {0u, 1u}) {
+      if (r.num[a] == 0.0f && rng() % 2 == 0) r.num[a] = -0.0f;
+    }
+    const bool noise = rng() % 20 == 0;
+    r.label = static_cast<std::int8_t>(((r.num[0] <= 0.0f) !=
+                                        (r.num[1] <= 0.0f)) != noise);
+  }
+  return out;
+}
+
+std::string pclouds_tree_of(int p, std::span<const Record> all,
+                            const data::Sampler& sampler,
+                            const pclouds::PcloudsConfig& cfg) {
+  io::ScratchArena arena("differential_zeros", p);
+  mp::Runtime rt(p);
+  data::DatasetPartition part(all.size(), p);
+  std::string out;
+  std::mutex mu;
+  rt.run([&](mp::Comm& comm) {
+    io::LocalDisk disk(arena.rank_dir(comm.rank()), &comm.cost(),
+                       &comm.clock());
+    std::vector<Record> mine;
+    std::vector<Record> sample;
+    for (std::uint64_t i = 0; i < all.size(); ++i) {
+      if (part.owner_of(i) != comm.rank()) continue;
+      mine.push_back(all[i]);
+      if (sampler.contains(i)) sample.push_back(all[i]);
+    }
+    disk.write_file<Record>("train.dat", mine);
+    auto tree = pclouds::pclouds_train(comm, cfg, disk, "train.dat", sample);
+    if (comm.rank() == 0) {
+      std::lock_guard lock(mu);
+      out = tree_bytes(tree);
+    }
+  });
+  return out;
+}
+
+TEST(Differential, SignedZerosGiveOneTreeAtEveryProcessorCount) {
+  const auto all = signed_zero_data(6000);
+  const data::Sampler sampler(0.05, 4);
+  std::vector<Record> sample;
+  for (std::uint64_t i = 0; i < all.size(); ++i) {
+    if (sampler.contains(i)) sample.push_back(all[i]);
+  }
+
+  // Every node a large SSE node with one q, as the sequential builder
+  // grows it: the trees must agree byte for byte.  On an exact gini tie
+  // the sequential builder keeps the candidate it met first and pCLOUDS
+  // the lowest attribute, so growth stops before the small, nearly pure
+  // nodes where such ties turn up.
+  auto cfg = differential_cfg();
+  cfg.strategy = dc::Strategy::kDataParallel;
+  cfg.clouds.q_root = cfg.clouds.q_min = 24;
+  cfg.clouds.min_records = 100;
+  cfg.clouds.purity_stop = 0.9;
+  clouds::CloudsBuilder seq(cfg.clouds);
+  const auto want = tree_bytes(seq.build(all, sample));
+  for (const int p : {1, 2, 4}) {
+    EXPECT_EQ(pclouds_tree_of(p, all, sampler, cfg), want) << "p = " << p;
+  }
+
+  // The default mixed strategy solves small nodes with the direct method
+  // on payloads gathered rank by rank.
+  cfg = differential_cfg();
+  cfg.clouds.max_depth = 8;
+  const auto mixed = pclouds_tree_of(1, all, sampler, cfg);
+  for (const int p : {2, 4}) {
+    EXPECT_EQ(pclouds_tree_of(p, all, sampler, cfg), mixed) << "p = " << p;
+  }
+}
+
 // Per-node differential of the split methods themselves: on random node
 // data, SSE's final gini must equal the direct method's exact optimum
 // (SSE is exact by construction — the lower bounds only prune intervals
