@@ -12,23 +12,22 @@
 // BM_BlockRead and BM_BlockWrite stream the same records through
 // io::BlockReader / io::BlockWriter at queue depth 0 -- one synchronous disk
 // request per block, the path every training scan and partition pass takes
-// -- on a scratch LocalDisk, with blocks of 1040 and 4161 records: the
-// training streams' block size, MemoryBudget::paper_scaled(n)
-// .block_records(sizeof(Record), 3), at n = 500k and 2M.  items_per_second
-// is records streamed per second.  Each write pass writes a new name and
-// then removes the previous pass's file, as a partition step does: a
-// rewrite in place would make the file system write the old data back to
-// the device at close, which no training stream pays.
+// -- on a LocalDisk in a scratch directory, with blocks of 1040 and 4161
+// records: the training streams' block size, MemoryBudget::paper_scaled(n)
+// .block_records(sizeof(Record), 3), at n = 500k and 2M.  They stream task
+// files (pages of the disk's scratch file), as every partition pass and
+// every scan below the root does; BM_BlockRead/1040/0 reads a kept file,
+// as the root scan reads the dataset.  items_per_second is records
+// streamed per second.  Each write pass writes a new name and then removes
+// the previous pass's file, as a partition step does.
 //
 // BM_TaskFiles times a partition step's file lifecycle at queue depth 0:
 // N records (the argument, 1040 or 4161) split between two BlockWriters
-// into new names, both closed, then the previous step's pair removed.
-// Each side gets one block request, so the step is mostly the two opens
-// and the two removes.  It runs a fixed 4,000 steps (8,000 files through
-// one directory): on ext4, creating a file can cost far more after such
-// churn than in a fresh directory, which LocalDisk's recycled inodes
-// avoid.  items_per_second is records per second; `files` counts files
-// written.
+// into new task files, both closed, then the previous step's pair
+// removed.  Each side gets one block request, so the step is mostly the
+// two creates and the two removes.  It runs a fixed 4,000 steps (8,000
+// files through one disk).  items_per_second is records per second;
+// `files` counts files written.
 // BM_ScanAlive times clouds::scan_alive, SSE's alive harvest, over records
 // drawn as in the train-noisy workload (function 2, 10% label noise), with
 // alive lists of 1, 10, 100 and 1,000 intervals spread evenly over the
@@ -129,6 +128,8 @@ void BM_NodeStatsAdd(benchmark::State& state) {
 
 BENCHMARK(BM_NodeStatsAdd)->Arg(10)->Arg(100)->Arg(600);
 
+constexpr auto kScratch = pdc::io::FileKind::kScratch;
+
 /// One rank's disk in a scratch directory that is removed afterwards.
 struct ScratchDisk {
   pdc::io::ScratchArena arena{"bench_layers", 1};
@@ -140,8 +141,9 @@ struct ScratchDisk {
 void BM_BlockRead(benchmark::State& state) {
   const auto& recs = records();
   const auto block = static_cast<std::size_t>(state.range(0));
+  const auto kind = state.range(1) == 0 ? pdc::io::FileKind::kKept : kScratch;
   ScratchDisk d;
-  d.disk.write_file<Record>("scan.dat", recs);
+  d.disk.write_file<Record>("scan.dat", recs, kind);
   std::vector<Record> buf;
   for (auto _ : state) {
     pdc::io::BlockReader<Record> reader(d.disk, "scan.dat", block);
@@ -160,7 +162,7 @@ void BM_BlockWrite(benchmark::State& state) {
   std::int64_t pass = 0;
   for (auto _ : state) {
     const auto name = "part_" + std::to_string(pass);
-    pdc::io::BlockWriter<Record> writer(d.disk, name, block);
+    pdc::io::BlockWriter<Record> writer(d.disk, name, block, {}, kScratch);
     for (const auto& r : recs) writer.append(r);
     writer.close();
     benchmark::DoNotOptimize(writer.count());
@@ -181,8 +183,9 @@ void BM_TaskFiles(benchmark::State& state) {
   std::int64_t step = 0;
   for (auto _ : state) {
     {
-      pdc::io::BlockWriter<Record> left(d.disk, name(step, 0), n);
-      pdc::io::BlockWriter<Record> right(d.disk, name(step, 1), n);
+      pdc::io::BlockWriter<Record> left(d.disk, name(step, 0), n, {}, kScratch);
+      pdc::io::BlockWriter<Record> right(d.disk, name(step, 1), n, {},
+                                         kScratch);
       for (std::size_t i = 0; i < n; ++i) {
         (i % 2 == 0 ? left : right).append(recs[i]);
       }
@@ -306,7 +309,7 @@ BENCHMARK(BM_SortByValue)
     ->Args({276, 1})
     ->Args({809, 1})
     ->Args({13234, 0});
-BENCHMARK(BM_BlockRead)->Arg(1040)->Arg(4161);
+BENCHMARK(BM_BlockRead)->Args({1040, 0})->Args({1040, 1})->Args({4161, 1});
 BENCHMARK(BM_BlockWrite)->Arg(1040)->Arg(4161);
 BENCHMARK(BM_TaskFiles)->Arg(1040)->Arg(4161)->Iterations(4000);
 

@@ -21,7 +21,7 @@ before anything runs, with three interprocedural checks:
       and are inventoried (not flagged) in the report.
 
   PDA300 uncharged-io
-      Raw I/O (fopen/fread/fwrite and friends) in a function with no
+      Raw I/O (fopen/fread/fwrite, pread/pwrite) in a function with no
       modeled-clock charge (charge_io*/charge_read/charge_write/add_io/
       CostHooks).  Functions that are charged elsewhere by design
       (the disk request executor, settled later by the issuing rank;
@@ -211,7 +211,7 @@ GROWTH_RE = re.compile(
     r"(push_back|emplace_back|insert)\s*\(")
 
 RAW_IO_RE = re.compile(
-    r"\b(?:std::)?(fopen|fread|fwrite)\s*\(")
+    r"\b(?:std::)?(fopen|fread|fwrite|pread|pwrite)\s*\(")
 CHARGE_RE = re.compile(
     r"\b(?:charge_io\w*|charge_scan|add_io)\s*\(|\bCostHooks\b")
 

@@ -234,8 +234,10 @@ DecisionTree CloudsBuilder::build_out_of_core(io::LocalDisk& disk,
     data::ClassCounts lcounts{};
     data::ClassCounts rcounts{};
     {
-      io::BlockWriter<data::Record> lw(disk, lfile, block, cfg_.pipeline);
-      io::BlockWriter<data::Record> rw(disk, rfile, block, cfg_.pipeline);
+      io::BlockWriter<data::Record> lw(disk, lfile, block, cfg_.pipeline,
+                                       io::FileKind::kScratch);
+      io::BlockWriter<data::Record> rw(disk, rfile, block, cfg_.pipeline,
+                                       io::FileKind::kScratch);
       scan([&](const data::Record& r) {
         if (best.split.goes_left(r)) {
           lw.append(r);

@@ -14,7 +14,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -83,7 +85,8 @@ constexpr std::uint32_t value_key(float v) {
 /// Stable sort of `items` by value_key(value(item)): an LSD radix sort in
 /// four 8-bit passes that skips a pass whose digit every key shares, and an
 /// insertion sort below 48 items, where the radix sort's fixed cost (four
-/// 256-count tables and a scratch copy of `items`) outweighs its passes.
+/// 256-entry 32-bit count tables and a scratch copy of `items`) outweighs
+/// its passes.
 /// 48 is the measured crossover of the two on the short sorts of the
 /// training workloads (DESIGN §3).  Both are stable on one key, so they
 /// give the same permutation.
@@ -103,23 +106,35 @@ void sort_by_value(std::vector<T>& items, Value value) {
     }
     return;
   }
-  std::array<std::array<std::size_t, 256>, 4> count{};
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("sort_by_value: more than 2^32 - 1 items");
+  }
+  std::array<std::array<std::uint32_t, 256>, 4> count{};
   for (const T& item : items) {
     const std::uint32_t key = value_key(value(item));
     for (std::size_t d = 0; d < 4; ++d) ++count[d][(key >> (8 * d)) & 0xFFu];
   }
   const std::uint32_t first_key = value_key(value(items[0]));
-  std::vector<T> scratch(n);
+  // Passes alternate between `items` and a scratch copy that is never
+  // value-initialised: each pass writes every one of its n slots.
+  std::unique_ptr<T[]> scratch;
+  T* from = items.data();
+  T* to = nullptr;
   for (std::size_t d = 0; d < 4; ++d) {
     const auto shift = static_cast<unsigned>(8 * d);
     if (count[d][(first_key >> shift) & 0xFFu] == n) continue;
-    std::size_t offset = 0;  // counts become each digit's first slot
-    for (auto& c : count[d]) offset += std::exchange(c, offset);
-    for (const T& item : items) {
-      scratch[count[d][(value_key(value(item)) >> shift) & 0xFFu]++] = item;
+    if (!scratch) {
+      scratch = std::make_unique_for_overwrite<T[]>(n);
+      to = scratch.get();
     }
-    items.swap(scratch);
+    std::uint32_t offset = 0;  // counts become each digit's first slot
+    for (auto& c : count[d]) offset += std::exchange(c, offset);
+    for (std::size_t i = 0; i < n; ++i) {
+      to[count[d][(value_key(value(from[i])) >> shift) & 0xFFu]++] = from[i];
+    }
+    std::swap(from, to);
   }
+  if (from != items.data()) std::copy(from, from + n, items.data());
 }
 
 /// Equi-depth interior boundaries from sample values: at most q-1 ascending

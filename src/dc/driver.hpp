@@ -139,6 +139,10 @@ class DcDriver {
     return comm.all_reduce<std::uint64_t>(local);
   }
 
+  /// Every file the driver creates is a task file of the disk's scratch
+  /// file; only the root file is the caller's.
+  static constexpr io::FileKind kTask = io::FileKind::kScratch;
+
   /// The data file of a task that partition() created.  Every task a
   /// snapshot holds is one of these (the root is dequeued before the first
   /// snapshot), so the snapshot carries ids, never file names.
@@ -201,8 +205,8 @@ class DcDriver {
     std::uint64_t ln = 0;
     std::uint64_t rn = 0;
     {
-      io::BlockWriter<T> lw(*disk_, left.file, block, cfg_.pipeline);
-      io::BlockWriter<T> rw(*disk_, right.file, block, cfg_.pipeline);
+      io::BlockWriter<T> lw(*disk_, left.file, block, cfg_.pipeline, kTask);
+      io::BlockWriter<T> rw(*disk_, right.file, block, cfg_.pipeline, kTask);
       io::file_scan<T>(*disk_, parent.file, block,
                        cfg_.pipeline)([&](const T& rec) {
         if (router(rec) == 0) {
@@ -440,7 +444,7 @@ class DcDriver {
     const auto incoming = comm.all_to_all<T>(outgoing);
     Pending mine = own;
     mine.file = "dcg_" + std::to_string(own.task.id);
-    io::BlockWriter<T> writer(*disk_, mine.file, block, cfg_.pipeline);
+    io::BlockWriter<T> writer(*disk_, mine.file, block, cfg_.pipeline, kTask);
     for (const auto& from_rank : incoming) {
       writer.append(std::span<const T>(from_rank));
     }
@@ -610,7 +614,8 @@ class DcDriver {
         }
         p.file = task_file(p.task.id);
         disk_->write_file<std::byte>(
-            p.file, store.read_blob(v, "task_" + std::to_string(idx++)));
+            p.file, store.read_blob(v, "task_" + std::to_string(idx++)),
+            kTask);
         pending.push_back(std::move(p));
       }
     };

@@ -1,6 +1,55 @@
 #include "io/async_engine.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstddef>
+
 namespace pdc::io {
+
+void UniqueFd::reset(int fd) {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = fd;
+}
+
+UniqueFd open_kept(const char* path, bool is_write) {
+  if (!is_write) return UniqueFd(::open(path, O_RDONLY | O_CLOEXEC));
+  ::unlink(path);
+  return UniqueFd(
+      ::open(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
+}
+
+namespace {
+
+/// Moves the first `limit` bytes of the request along its runs; false if a
+/// pread/pwrite fails or a read meets the end of the file.
+bool transfer(const DiskRequest& req, int fd, std::size_t limit) {
+  // pdc: io-wrapper(the real transfer of one request; the issuing rank books it on the modeled clock at LocalDisk::settle)
+  std::size_t at = 0;
+  for (const ByteRun& run : req.runs) {
+    std::size_t done = 0;
+    const std::size_t want = std::min(run.bytes, limit - at);
+    while (done < want) {
+      const auto off = static_cast<off_t>(run.offset + done);
+      const ssize_t n =
+          req.is_write
+              ? ::pwrite(fd, static_cast<const std::byte*>(req.src) + at + done,
+                         want - done, off)
+              : ::pread(fd, static_cast<std::byte*>(req.dst) + at + done,
+                        want - done, off);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      done += static_cast<std::size_t>(n);
+    }
+    at += want;
+    if (at == limit) break;
+  }
+  return at == limit;
+}
+
+}  // namespace
 
 AsyncEngine::~AsyncEngine() {
   {
@@ -45,7 +94,6 @@ void AsyncEngine::run() {
 }
 
 DiskOutcome execute(const DiskRequest& req) {
-  // pdc: io-wrapper(runs one request's attempts and transfer; the issuing rank books it on the modeled clock at LocalDisk::settle)
   DiskOutcome out;
   if (req.poison && req.poison->load(std::memory_order_acquire)) {
     out.status = DiskStatus::kSkipped;
@@ -74,28 +122,21 @@ DiskOutcome execute(const DiskRequest& req) {
     }
   }
 
-  FilePtr owned;
-  std::FILE* file = req.file;
-  if (file == nullptr) {
-    owned = req.is_write ? req.pool->open_empty(req.path)
-                         : FilePtr(std::fopen(req.path, "rb"));
-    file = owned.get();
-    if (file == nullptr) return die(DiskStatus::kIoError);
+  UniqueFd owned;
+  int fd = req.fd;
+  if (fd < 0) {
+    owned = open_kept(req.path, req.is_write);
+    fd = owned.get();
+    if (fd < 0) return die(DiskStatus::kIoError);
   }
   if (tear) {
     // A crash mid-write: half the payload's bytes land on disk (the cut
     // need not fall on a record boundary), then the request dies.
     out.torn_bytes = req.bytes / 2;
-    if (out.torn_bytes != 0) std::fwrite(req.src, 1, out.torn_bytes, file);
-    std::fflush(file);  // make the partial prefix durable
+    transfer(req, fd, out.torn_bytes);
     return die(DiskStatus::kTorn);
   }
-  if (req.bytes != 0) {
-    const std::size_t done =
-        req.is_write ? std::fwrite(req.src, 1, req.bytes, file)
-                     : std::fread(req.dst, 1, req.bytes, file);
-    if (done != req.bytes) return die(DiskStatus::kIoError);
-  }
+  if (!transfer(req, fd, req.bytes)) return die(DiskStatus::kIoError);
   return out;
 }
 

@@ -5,7 +5,12 @@
 // Every disk request -- one block of a record stream, or a whole file -- is
 // a DiskRequest run by execute(): the fault loop (consult the injector
 // attempt by attempt, back off on a transient failure, tear, or give up
-// once the retry budget is spent) and then the real fread/fwrite.
+// once the retry budget is spent) and then the real transfer.  A request
+// has one shape whatever file it moves: a descriptor plus the byte runs of
+// that file to move with pread/pwrite, in memory order.  A kept file's
+// stream request is one run at the stream's offset; a scratch file's
+// request (io/scratch_file.hpp) is the runs of the pages it covers, which
+// the rank thread maps before it issues the request.
 // LocalDisk runs it inline on the rank thread for whole-file requests and
 // for streams at queue depth 0; a deeper stream queues it on AsyncEngine,
 // the disk's single worker thread.  execute() never touches the rank's
@@ -24,18 +29,51 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdio>
+#include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <thread>
 #include <utility>
 
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
 #include "fault/fault.hpp"
-#include "io/inode_pool.hpp"
 
 namespace pdc::io {
+
+/// Owns one file descriptor (-1 = none) and closes it.
+class UniqueFd {
+ public:
+  UniqueFd() = default;
+  explicit UniqueFd(int fd) : fd_(fd) {}
+  UniqueFd(UniqueFd&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+  UniqueFd& operator=(UniqueFd&& other) noexcept {
+    reset(std::exchange(other.fd_, -1));
+    return *this;
+  }
+  ~UniqueFd() { reset(); }
+
+  int get() const { return fd_; }
+  explicit operator bool() const { return fd_ >= 0; }
+  void reset(int fd = -1);
+
+ private:
+  int fd_ = -1;
+};
+
+/// Opens a kept file (a real file of the rank directory) at `path`: as it
+/// is for reading, or for writing as a new, empty file that replaces the
+/// old one.  The old inode is unlinked, not truncated: ext4 writes a file
+/// truncated to zero out to the device when it is closed.  No descriptor
+/// if it will not open.
+UniqueFd open_kept(const char* path, bool is_write);
+
+/// `bytes` bytes at byte `offset` of a file.
+struct ByteRun {
+  std::uint64_t offset = 0;
+  std::size_t bytes = 0;
+};
 
 /// How LocalDisk rides through transient disk faults: up to `max_attempts`
 /// tries per request, sleeping (on the modeled clock) `backoff_s` before
@@ -60,7 +98,7 @@ enum class DiskStatus {
   kFailed,   ///< injected failures exhausted the retry budget
   kTorn,     ///< injected torn write: partial prefix on disk, stream dead
   kSkipped,  ///< stream already dead: nothing touched the disk or injector
-  kIoError,  ///< the file would not open or the fread/fwrite came up short
+  kIoError,  ///< the file would not open or a pread/pwrite came up short
 };
 
 /// Everything the rank thread needs to settle one executed request: its
@@ -70,18 +108,28 @@ struct DiskOutcome {
   int failures = 0;            ///< injected transient failures observed
   int backoffs = 0;            ///< RetryPolicy::delay(0..backoffs-1) slept
   std::size_t torn_bytes = 0;  ///< bytes left on disk by a torn write
+
+  /// Whether the request put bytes on disk: all of them, or a torn prefix.
+  bool landed() const {
+    return status == DiskStatus::kOk || status == DiskStatus::kTorn;
+  }
+  /// The bytes a landed request of `bytes` bytes put on disk.
+  std::size_t landed_bytes(std::size_t bytes) const {
+    return status == DiskStatus::kOk ? bytes : torn_bytes;
+  }
 };
 
 struct DiskRequest {
-  /// The stream's open file.  Null for a whole-file request, which opens
-  /// `path` only once the fault loop lets it through, so a write that gives
+  /// The file's descriptor: a stream's kept file, or the disk's scratch
+  /// file.  -1 for a whole kept file, which execute() opens by `path` only
+  /// once the fault loop lets the request through, so a write that gives
   /// up leaves the old file as it was.
-  std::FILE* file = nullptr;
+  int fd = -1;
   const char* path = nullptr;
-  /// The disk's pool, which opens a whole-file write
-  /// (InodePool::open_empty).  Whole-file requests run inline, so only the
-  /// rank thread touches it.
-  InodePool* pool = nullptr;
+  /// Where the `bytes` bytes lie in the file, in memory order; their
+  /// lengths sum to `bytes`.  The issuer owns them until the request is
+  /// settled.
+  std::span<const ByteRun> runs{};
   bool is_write = false;
   void* dst = nullptr;        ///< read destination (owned by the caller)
   const void* src = nullptr;  ///< write source (owned by the caller)

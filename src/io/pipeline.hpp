@@ -26,12 +26,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <cstdio>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <span>
-#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/local_disk.hpp"
@@ -54,18 +54,16 @@ class BlockReader {
       : disk_(&disk),
         name_(name),
         block_records_(std::max<std::size_t>(1, block_records)),
-        depth_(cfg.queue_depth) {
-    // pdc: io-wrapper(opens the stream only; each block request is charged at LocalDisk::settle)
-    file_.reset(std::fopen(disk.path_of(name).c_str(), "rb"));
-    if (!file_) throw std::runtime_error("BlockReader: cannot open " + name);
-    remaining_ = disk.file_records<T>(name);
-    unrequested_ = remaining_;
+        depth_(cfg.queue_depth),
+        file_(disk.open_stream(name)),
+        remaining_(file_.bytes / sizeof(T)),
+        unrequested_(remaining_) {
     refill();
   }
 
   /// The worker may still be filling our buffers: wait out every pending
   /// request (without charging -- settlement is the success path's job)
-  /// before the buffers, the poison flag and the FILE* die.
+  /// before the buffers, the poison flag and the descriptor die.
   ~BlockReader() {
     for (auto& p : pending_) p.queued.slot->wait();
   }
@@ -88,7 +86,7 @@ class BlockReader {
       // Same-size blocks reuse `out` as it is: the read overwrites every
       // record, so nothing is value-initialised first.
       out.resize(std::min(block_records_, remaining_));
-      disk_->run_inline(request(out), name_);
+      disk_->run_inline(request(out, runs_), name_);
     } else {
       Pending p = std::move(pending_.front());
       pending_.pop_front();
@@ -107,14 +105,18 @@ class BlockReader {
  private:
   struct Pending {
     std::vector<T> buf;
+    std::vector<ByteRun> runs;
     LocalDisk::Queued queued;
   };
 
-  DiskRequest request(std::vector<T>& buf) {
-    return {.file = file_.get(),
-            .dst = buf.data(),
-            .bytes = buf.size() * sizeof(T),
-            .poison = &poison_};
+  /// The request for the next `buf.size()` records, runs kept in `runs`.
+  DiskRequest request(std::vector<T>& buf, std::vector<ByteRun>& runs) {
+    const std::size_t bytes = buf.size() * sizeof(T);
+    DiskRequest req = disk_->stream_request(file_, offset_, bytes, runs);
+    req.dst = buf.data();
+    req.poison = &poison_;
+    offset_ += bytes;
+    return req;
   }
 
   /// Keeps `depth_` blocks queued on the worker (none at depth 0).
@@ -124,7 +126,7 @@ class BlockReader {
       unrequested_ -= n;
       Pending p;
       p.buf.resize(n);
-      p.queued = disk_->submit(request(p.buf));
+      p.queued = disk_->submit(request(p.buf, p.runs));
       pending_.push_back(std::move(p));
     }
   }
@@ -133,9 +135,11 @@ class BlockReader {
   std::string name_;
   std::size_t block_records_;
   std::size_t depth_;
-  FilePtr file_;
+  LocalDisk::StreamFile file_;
   std::size_t remaining_ = 0;    ///< records not yet returned
   std::size_t unrequested_ = 0;  ///< records not yet queued on the worker
+  std::uint64_t offset_ = 0;     ///< bytes requested so far
+  std::vector<ByteRun> runs_;    ///< the depth-0 request's runs
   /// Set by the rank thread when a call throws: the stream is dead.  Unlike
   /// poison_, it changes only in program order, so every depth fails the
   /// same later calls.
@@ -176,17 +180,15 @@ Scan<T> file_scan(LocalDisk& disk, std::string name, std::size_t block_records,
 template <mp::Wireable T>
 class BlockWriter {
  public:
+  /// Writes `name` from empty, as a file of `kind`.
   BlockWriter(LocalDisk& disk, const std::string& name,
               std::size_t block_records, const PipelineConfig& cfg = {},
-              bool append = false)
+              FileKind kind = FileKind::kKept)
       : disk_(&disk),
         name_(name),
         block_records_(std::max<std::size_t>(1, block_records)),
-        depth_(cfg.queue_depth) {
-    // pdc: io-wrapper(opens the stream only; each block request is charged at LocalDisk::settle)
-    file_ = append ? FilePtr(std::fopen(disk.path_of(name).c_str(), "ab"))
-                   : disk.open_empty(name);
-    if (!file_) throw std::runtime_error("BlockWriter: cannot open " + name);
+        depth_(cfg.queue_depth),
+        file_(disk.create_stream(name, kind)) {
     buffer_.reserve(block_records_);
   }
 
@@ -217,10 +219,11 @@ class BlockWriter {
   }
 
   void close() {
-    if (!file_) return;
+    if (closed_) return;
     flush();
     while (!pending_.empty()) reap_front();
-    file_.reset();
+    file_.kept.reset();
+    closed_ = true;
   }
 
   /// Records appended so far (flushed or not).
@@ -229,25 +232,32 @@ class BlockWriter {
  private:
   struct Pending {
     std::vector<T> buf;
+    std::vector<ByteRun> runs;
     LocalDisk::Queued queued;
   };
 
-  DiskRequest request(const std::vector<T>& buf) {
-    return {.file = file_.get(),
-            .is_write = true,
-            .src = buf.data(),
-            .bytes = buf.size() * sizeof(T),
-            .poison = &poison_};
+  /// The request for `buf`, runs kept in `runs`, and where it lands.
+  std::pair<DiskRequest, Landing> request(
+      const std::vector<T>& buf, std::vector<ByteRun>& runs) {
+    const std::size_t bytes = buf.size() * sizeof(T);
+    DiskRequest req = disk_->stream_request(file_, offset_, bytes, runs);
+    req.is_write = true;
+    req.src = buf.data();
+    req.poison = &poison_;
+    const Landing landing{file_.pages, offset_};
+    offset_ += bytes;
+    return {req, landing};
   }
 
   /// One request for the buffered block: written inline from the one
   /// buffer at depth 0, else handed to the worker with the buffer.
   void flush() {
     if (failed_) throw LocalDisk::stream_failed(/*is_write=*/true, name_);
-    if (buffer_.empty() || !file_) return;
+    if (buffer_.empty() || closed_) return;
     if (depth_ == 0) {
       failed_ = true;  // until the block has settled
-      disk_->run_inline(request(buffer_), name_);
+      const auto [req, landing] = request(buffer_, runs_);
+      disk_->run_inline(req, name_, landing);
       failed_ = false;
       buffer_.clear();
       return;
@@ -257,7 +267,8 @@ class BlockWriter {
     p.buf = std::move(buffer_);
     buffer_.clear();
     buffer_.reserve(block_records_);
-    p.queued = disk_->submit(request(p.buf));
+    const auto [req, landing] = request(p.buf, p.runs);
+    p.queued = disk_->submit(req, landing);
     pending_.push_back(std::move(p));
   }
 
@@ -273,7 +284,10 @@ class BlockWriter {
   std::string name_;
   std::size_t block_records_;
   std::size_t depth_;
-  FilePtr file_;
+  LocalDisk::StreamFile file_;
+  bool closed_ = false;
+  std::uint64_t offset_ = 0;   ///< bytes requested so far
+  std::vector<ByteRun> runs_;  ///< the depth-0 request's runs
   std::vector<T> buffer_;
   std::size_t count_ = 0;
   /// Same contracts as BlockReader::failed_ and BlockReader::poison_.

@@ -37,8 +37,10 @@ class ScratchArena {
   std::filesystem::path rank_dir(int rank) const;
   int nprocs() const { return nprocs_; }
 
-  /// Bytes currently on "disk" across all ranks (for assertions about
-  /// out-of-core residency).
+  /// Bytes of the files in the rank directories, across all ranks (for
+  /// assertions about out-of-core residency).  Task files are not among
+  /// them: they live in each LocalDisk's unlinked scratch file, whose
+  /// pages that disk counts (io/scratch_file.hpp).
   std::uintmax_t bytes_on_disk() const;
 
  private:

@@ -363,7 +363,7 @@ void CloudsProblem::solve_sequential(const dc::Task& task,
     // single-disk I/O the paper warns about.
     scfg.method = clouds::SplitMethod::kSSE;
     const std::string spill = "seq_task_" + std::to_string(task.id);
-    disk_->write_file<Record>(spill, data);
+    disk_->write_file<Record>(spill, data, io::FileKind::kScratch);
     std::vector<Record> sample;
     const std::size_t stride = std::max<std::size_t>(
         1, static_cast<std::size_t>(1.0 / std::max(1e-6,

@@ -122,7 +122,7 @@ clouds::DecisionTree SprintBuilder::train(mp::Comm& comm, io::LocalDisk& disk,
                         std::span<const ListEntry> list) {
     io::BlockWriter<ListEntry> w(disk, name,
                                  std::max<std::size_t>(1, list.size()),
-                                 cfg_.pipeline);
+                                 cfg_.pipeline, io::FileKind::kScratch);
     w.append(list);
     w.close();
   };
@@ -359,9 +359,9 @@ clouds::DecisionTree SprintBuilder::train(mp::Comm& comm, io::LocalDisk& disk,
       io::BlockReader<ListEntry> reader(disk, list_file(f, w.id), block,
                                         cfg_.pipeline);
       io::BlockWriter<ListEntry> lwriter(disk, list_file(f, lw.id), block,
-                                         cfg_.pipeline);
+                                         cfg_.pipeline, io::FileKind::kScratch);
       io::BlockWriter<ListEntry> rwriter(disk, list_file(f, rw.id), block,
-                                         cfg_.pipeline);
+                                         cfg_.pipeline, io::FileKind::kScratch);
 
       // Distributed membership is a collective per block, so every rank
       // must run the same number of block rounds.

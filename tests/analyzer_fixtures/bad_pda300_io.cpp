@@ -1,4 +1,6 @@
 // PDA300 fixture: raw I/O with no modeled-clock charge in the function.
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstddef>
 
@@ -12,6 +14,11 @@ unsigned long uncharged_read(const char* path) {
   const auto n = std::fread(buf, 1, sizeof(buf), f);  // expect-PDA300
   std::fclose(f);
   return static_cast<unsigned long>(n);
+}
+
+// Positioned descriptor I/O is raw I/O too.
+long uncharged_pread(int fd, char* buf) {
+  return ::pread(fd, buf, 16, 0);  // expect-PDA300
 }
 
 // Charged in the same function: clean.

@@ -262,8 +262,12 @@ TEST_F(OocFixture, ScratchFilesAreCleanedUp) {
   CloudsBuilder builder(CloudsConfig{});
   io::MemoryBudget budget(16 * 1024);
   (void)builder.build_out_of_core(disk, "train.dat", sample, budget);
-  // Only the original training file remains on disk.
+  // Only the original training file remains on disk, and every node file's
+  // pages are free.
+  EXPECT_GT(builder.stats().out_of_core_nodes, 0u);
   EXPECT_EQ(arena.bytes_on_disk(), train.size() * sizeof(Record));
+  EXPECT_EQ(disk.scratch().live_pages(), 0u);
+  EXPECT_GT(disk.scratch().free_pages(), 0u);
 }
 
 TEST_F(OocFixture, OutOfCorePerformsMoreIo) {

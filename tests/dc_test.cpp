@@ -18,6 +18,7 @@
 #include "dc/problem.hpp"
 #include "fault/fault.hpp"
 #include "io/scratch.hpp"
+#include "io/scratch_file.hpp"
 #include "mp/runtime.hpp"
 
 namespace pdc::dc {
@@ -144,6 +145,8 @@ struct RunResult {
   std::uint64_t input_checksum = 0;
   std::uint64_t input_n = 0;
   std::uintmax_t bytes_left_on_disk = 0;
+  /// Scratch pages still held by task files when the run ended, all ranks.
+  std::size_t pages_left_live = 0;
 };
 
 void run_bisect(int p, Strategy strategy, std::uint64_t n,
@@ -181,6 +184,7 @@ void run_bisect(int p, Strategy strategy, std::uint64_t n,
     const auto report = driver.run(comm, problem, "root.dat");
     {
       std::lock_guard lock(report_mu);
+      rr.pages_left_live += disk.scratch().live_pages();
       if (comm.rank() == 0) {
         const auto redistributed = rr.report.records_redistributed;
         rr.report = report;
@@ -209,6 +213,8 @@ TEST_P(DriverStrategies, ConservesEveryRecord) {
       rr.outcome.sequential_sizes.begin(), rr.outcome.sequential_sizes.end(),
       std::uint64_t{0});
   EXPECT_EQ(leaf_total + seq_total, rr.input_n);
+  // Every task file was dropped: its pages are free, not just unlinked.
+  EXPECT_EQ(rr.pages_left_live, 0u);
 }
 
 TEST_P(DriverStrategies, DataParallelLeavesRespectLeafLimit) {
@@ -322,32 +328,36 @@ TEST(Driver, ProcessorCountDoesNotChangeLeaves) {
 TEST(Driver, CleansUpIntermediateFiles) {
   RunResult rr;
   run_bisect(4, Strategy::kMixed, 2000, 300, 32, rr);
-  // Only the 4 preserved root files may remain.
+  // Only the 4 preserved root files may remain, and no task file's pages.
   EXPECT_EQ(rr.bytes_left_on_disk, rr.input_n * sizeof(std::uint64_t));
+  EXPECT_EQ(rr.pages_left_live, 0u);
 }
 
-// ---- Recycled files stay bounded across checkpoints and a kill/resume ----
+// ---- Task-file pages stay bounded across checkpoints and a kill/resume ----
 
-/// Counts a rank directory's live files and the free ones LocalDisk keeps
-/// for reuse, keeping the peak of each.
-struct DirWatch {
+/// Samples a disk's scratch file, keeping the peak of its live pages and
+/// of its extent (live and free pages).
+struct PageWatch {
   std::size_t peak_live = 0;
   std::size_t most_free = 0;
+  std::size_t extent = 0;
 
   void sample(const io::LocalDisk& disk) {
-    std::size_t live = 0;
-    std::size_t free = 0;
-    for (const auto& e : std::filesystem::directory_iterator(disk.dir())) {
-      const bool is_free = e.path().filename().string().starts_with(".free.");
-      (is_free ? free : live) += 1;
-    }
-    EXPECT_EQ(free, disk.free_files());
-    peak_live = std::max(peak_live, live);
-    most_free = std::max(most_free, free);
+    const auto& scratch = disk.scratch();
+    constexpr std::uint64_t kPage = io::ScratchFile::kPageBytes;
+    const std::uint64_t live = scratch.live_pages();
+    // The live pages hold the live task bytes, with less than one page to
+    // spare per file: no page outlives the file that took it.
+    EXPECT_GE(live * kPage, scratch.live_bytes());
+    EXPECT_LE(live * kPage,
+              scratch.live_bytes() + scratch.files() * (kPage - 1));
+    peak_live = std::max<std::size_t>(peak_live, live);
+    most_free = std::max(most_free, scratch.free_pages());
+    extent = std::max(extent, scratch.live_pages() + scratch.free_pages());
   }
 };
 
-/// BisectProblem that samples its rank's directory at every hook.
+/// BisectProblem that samples its rank's disk at every hook.
 class WatchedBisect final : public BisectProblem {
  public:
   WatchedBisect(Outcome* outcome, int rank, std::function<void()> sample)
@@ -377,14 +387,20 @@ class WatchedBisect final : public BisectProblem {
   std::function<void()> sample_;
 };
 
-TEST(Driver, FreeFilesNeverOutnumberThePeakOfLiveFiles) {
-  // Every snapshot copies the pending tasks' files and drops an older
-  // snapshot, so with checkpoint_every = 2 each rank rewrites and removes
-  // hundreds of files; the killed run's free files are adopted by the
-  // resumed run's disks.
+TEST(Driver, LivePagesNeverExceedThePeakOfLiveTaskBytes) {
+  // Every snapshot copies the pending tasks' files and the resumed run
+  // rewrites them from the snapshot, so with checkpoint_every = 2 each
+  // rank writes and drops hundreds of task files.  At every hook their
+  // pages hold the live task bytes and no more; the scratch file grows
+  // only past the peak of the live pages sampled at the hooks by what one
+  // partition step adds between two hooks (at most the parent's pages
+  // again, plus a page of rounding per child); and a finished run leaves
+  // no page live.
   const int p = 2;
-  io::ScratchArena arena("dc_pool", p);
-  std::vector<DirWatch> watch(p);
+  io::ScratchArena arena("dc_pages", p);
+  std::vector<PageWatch> watch(p);
+  std::vector<std::size_t> left_live(p, 0);
+  std::vector<std::uint64_t> written(p, 0);
   const auto run = [&](bool resume, const fault::FaultPlan* plan) {
     Outcome outcome;
     DcReport report;
@@ -393,7 +409,8 @@ TEST(Driver, FreeFilesNeverOutnumberThePeakOfLiveFiles) {
         [&](mp::Comm& comm) {
           io::LocalDisk disk(arena.rank_dir(comm.rank()), &comm.cost(),
                              &comm.clock(), comm.tracer(), comm.fault());
-          DirWatch& w = watch[static_cast<std::size_t>(comm.rank())];
+          const auto rank = static_cast<std::size_t>(comm.rank());
+          PageWatch& w = watch[rank];
           std::vector<std::uint64_t> mine;
           for (std::uint64_t i = 0; i < 6000; ++i) {
             if (i % p == static_cast<std::uint64_t>(comm.rank())) {
@@ -412,21 +429,26 @@ TEST(Driver, FreeFilesNeverOutnumberThePeakOfLiveFiles) {
                                 [&] { w.sample(disk); });
           const auto r = driver.run(comm, problem, "root.dat");
           w.sample(disk);
+          left_live[rank] = disk.scratch().live_pages();
+          written[rank] += disk.stats().bytes_written;
           if (comm.rank() == 0) report = r;
         },
         nullptr, plan);
     return report;
   };
-
   const auto plan = fault::FaultPlan::parse("disk_read:rank=1:op=400:times=8");
   EXPECT_THROW(run(/*resume=*/false, &plan), fault::DiskFault);
   const auto resumed = run(/*resume=*/true, nullptr);
   EXPECT_TRUE(resumed.resumed);
   EXPECT_GT(resumed.checkpoints, 10u);
-  for (const auto& w : watch) {
+  for (std::size_t r = 0; r < watch.size(); ++r) {
+    const auto& w = watch[r];
     EXPECT_GT(w.most_free, 0u);
-    EXPECT_LE(w.most_free, w.peak_live);
+    EXPECT_LE(w.extent, 2 * w.peak_live + 2);
+    // Pages are reused: the file is a small part of what was written.
+    EXPECT_LT(w.extent * io::ScratchFile::kPageBytes * 4, written[r]);
   }
+  EXPECT_EQ(left_live, std::vector<std::size_t>(p, 0));
 }
 
 TEST(Driver, EmptyInputIsOneEmptyLeaf) {

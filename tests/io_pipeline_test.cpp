@@ -4,7 +4,9 @@
 //  - Property sweep: for 100 random (block size, queue depth, record count)
 //    instances — including empty files and files smaller than one block —
 //    the pipelined streams move byte-identical data and issue the same
-//    requests as the depth-0 streams.
+//    requests as the depth-0 streams.  Task files whose pages were freed
+//    and taken again, and one reader with two writers interleaved on one
+//    disk, read back what was written at depth 0 and 3.
 //  - Modeled time: overlap accounting never charges more than the
 //    synchronous path, and a compute-heavy consumer hides I/O (io_hidden).
 //  - Whole-classifier differential: pCLOUDS and pSPRINT grow byte-identical
@@ -13,19 +15,21 @@
 //    thread are injected, retried and charged exactly like synchronous
 //    ones; a spent retry budget surfaces as DiskFault at the reap point,
 //    and requests queued behind the failure are skipped, not executed.
-//    A parity table runs eight fault plans at depth 0 and depth 2 and
-//    compares data, disk bytes, exceptions (also from a call made again
-//    on the dead stream), injector count, IoStats and the fault.disk_*
-//    counters.
+//    A parity table runs eight fault plans at depth 0 and depth 2, on a
+//    kept and on a task file, and compares data, disk bytes, exceptions
+//    (also from a call made again on the dead stream), injector count,
+//    IoStats and the fault.disk_* counters.
 //  - Perf regression (label: perf): at p = 8 the pipelined build is
 //    strictly faster in modeled time with nonzero hidden I/O.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -129,35 +133,113 @@ TEST(PipelineProperty, RandomInstancesMatchSynchronousByteForByte) {
             sync_rig.disk.stats().bytes_written);
 }
 
-TEST(PipelineProperty, RecycledFileHoldsOnlyItsOwnRecords) {
-  // A removed 4,161-record file's inode comes back for the next new name;
-  // the stream must not leave its predecessor's tail behind, at any depth.
+constexpr auto kScratch = io::FileKind::kScratch;
+
+TEST(PipelineProperty, ReusedPagesHoldOnlyTheirOwnRecords) {
+  // A removed 4,161-record task file's pages come back for the next one;
+  // the stream must not read its predecessor's tail, at any depth.
   for (const std::size_t depth : {0u, 3u}) {
-    Rig rig("pipe_recycle");
+    Rig rig("pipe_reuse");
     std::vector<std::int64_t> parent(4161);
     std::iota(parent.begin(), parent.end(), 1'000'000);
     {
       io::BlockWriter<std::int64_t> w(rig.disk, "parent", 1040,
-                                      depth_of(depth));
+                                      depth_of(depth), kScratch);
       w.append(parent);
       w.close();
     }
     rig.disk.remove("parent");
-    ASSERT_EQ(rig.disk.free_files(), 1u);
+    const auto freed = rig.disk.scratch().free_pages();
+    ASSERT_EQ(freed, 9u);  // 33,288 bytes
     std::vector<std::int64_t> child(1047);
     std::iota(child.begin(), child.end(), 7);
     {
       io::BlockWriter<std::int64_t> w(rig.disk, "child", 256,
-                                      depth_of(depth));
+                                      depth_of(depth), kScratch);
       w.append(child);
       w.close();
     }
-    EXPECT_EQ(rig.disk.free_files(), 0u) << "depth " << depth;
+    EXPECT_EQ(rig.disk.scratch().free_pages(), freed - 3) << "depth " << depth;
     EXPECT_EQ(rig.disk.file_bytes("child"), child.size() * sizeof(child[0]))
         << "depth " << depth;
     EXPECT_EQ(read_all(rig.disk, "child", 300, depth), child)
         << "depth " << depth;
   }
+}
+
+TEST(PipelineProperty, InterleavedStreamsOnOneDiskReadBackWhatWasWritten) {
+  // Partition steps on one disk: one reader streams the parent while two
+  // writers take pages alternately, then the parent's pages are freed for
+  // the next step.  Every file reads back what was written, at depth 0 and
+  // 3, and the two depths leave the same bytes and requests.
+  std::vector<std::vector<std::int64_t>> kept_by_depth;
+  std::vector<io::IoStats> stats_by_depth;
+  for (const std::size_t depth : {0u, 3u}) {
+    SCOPED_TRACE(depth);
+    Rig rig("pipe_interleave");
+    std::vector<std::int64_t> data(5000);
+    std::iota(data.begin(), data.end(), 0);
+    rig.disk.write_file<std::int64_t>("g0", data, kScratch);
+    std::string parent = "g0";
+    std::vector<std::int64_t> expect = data;
+    for (int step = 1; step <= 6; ++step) {
+      const std::string left = "l" + std::to_string(step);
+      const std::string right = "r" + std::to_string(step);
+      std::vector<std::int64_t> lv;
+      std::vector<std::int64_t> rv;
+      {
+        io::BlockWriter<std::int64_t> lw(rig.disk, left, 97 + step,
+                                         depth_of(depth), kScratch);
+        io::BlockWriter<std::int64_t> rw(rig.disk, right, 131 - step,
+                                         depth_of(depth), kScratch);
+        io::BlockReader<std::int64_t> r(rig.disk, parent, 211,
+                                        depth_of(depth));
+        std::vector<std::int64_t> blk;
+        while (r.next_block(blk)) {
+          for (const auto v : blk) {
+            if ((v * 7 + step) % 3 == 0) {
+              lw.append(v);
+              lv.push_back(v);
+            } else {
+              rw.append(v);
+              rv.push_back(v);
+            }
+          }
+        }
+        lw.close();
+        rw.close();
+      }
+      // The parent read back what it was written with: the children,
+      // both ascending, merge back into it.
+      std::vector<std::int64_t> merged;
+      std::merge(lv.begin(), lv.end(), rv.begin(), rv.end(),
+                 std::back_inserter(merged));
+      EXPECT_EQ(merged, expect);
+      EXPECT_EQ(read_all(rig.disk, left, 64, depth), lv);
+      EXPECT_EQ(read_all(rig.disk, right, 500, depth), rv);
+      rig.disk.remove(parent);
+      // The larger child is the next parent; the smaller one stays live.
+      parent = rv.size() >= lv.size() ? right : left;
+      expect = rv.size() >= lv.size() ? rv : lv;
+    }
+    // Each file still holds its own records after the pages churned.
+    for (int step = 1; step <= 6; ++step) {
+      for (const char side : {'l', 'r'}) {
+        const std::string name = side + std::to_string(step);
+        if (!rig.disk.exists(name)) continue;
+        kept_by_depth.push_back(rig.disk.read_file<std::int64_t>(name));
+      }
+    }
+    stats_by_depth.push_back(rig.disk.stats());
+  }
+  ASSERT_EQ(kept_by_depth.size() % 2, 0u);
+  const std::size_t half = kept_by_depth.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) {
+    EXPECT_EQ(kept_by_depth[i], kept_by_depth[half + i]);
+  }
+  EXPECT_EQ(stats_by_depth[0].read_ops, stats_by_depth[1].read_ops);
+  EXPECT_EQ(stats_by_depth[0].write_ops, stats_by_depth[1].write_ops);
+  EXPECT_EQ(stats_by_depth[0].bytes_written, stats_by_depth[1].bytes_written);
 }
 
 TEST(PipelineProperty, EmptyFileYieldsNoBlocksAndNoRequests) {
@@ -414,7 +496,8 @@ std::string error_of(const std::exception& e) {
 
 constexpr std::size_t kParityRecords = 2000;
 
-FaultOutcome run_fault_row(const FaultRow& row, std::size_t depth) {
+FaultOutcome run_fault_row(const FaultRow& row, std::size_t depth,
+                           io::FileKind kind) {
   const auto plan = fault::FaultPlan::parse(row.plan);
   fault::RankFault f(&plan, 0, nullptr);
   obs::Tracer tracer(1);
@@ -425,7 +508,7 @@ FaultOutcome run_fault_row(const FaultRow& row, std::size_t depth) {
   }
   // 2000 records in blocks of 300: seven requests per pass.
   constexpr std::size_t kBlock = 300;
-  if (!row.write) rig.disk.write_file<std::int64_t>("p.bin", data);
+  if (!row.write) rig.disk.write_file<std::int64_t>("p.bin", data, kind);
 
   FaultOutcome out;
   std::optional<io::BlockWriter<std::int64_t>> writer;
@@ -433,7 +516,7 @@ FaultOutcome run_fault_row(const FaultRow& row, std::size_t depth) {
   std::vector<std::int64_t> blk;
   try {
     if (row.write) {
-      writer.emplace(rig.disk, "p.bin", kBlock, depth_of(depth));
+      writer.emplace(rig.disk, "p.bin", kBlock, depth_of(depth), kind);
       for (const auto v : data) writer->append(v);
       writer->close();
     } else {
@@ -458,12 +541,15 @@ FaultOutcome run_fault_row(const FaultRow& row, std::size_t depth) {
     writer.reset();
     reader.reset();
   }
-  out.disk = file_bytes_of(rig.disk.path_of("p.bin"));
   out.injected = f.injected();
   out.stats = rig.disk.stats();
   for (const auto& [name, c] : tracer.metrics(0).counters()) {
     if (name.rfind("fault.disk_", 0) == 0) out.counters[name] = c.value;
   }
+  // The file's bytes, read with the injector disarmed.
+  f.init(nullptr, 0, nullptr);
+  const auto bytes = rig.disk.read_file<char>("p.bin");
+  out.disk.assign(bytes.begin(), bytes.end());
   return out;
 }
 
@@ -471,6 +557,8 @@ TEST(PipelineFault, SameFaultPlanSameOutcomePipelinedOrNot) {
   // The worker consults the per-site op counters in program order and
   // runs the same executor, so a plan aimed at the Nth request hits the
   // same logical request, and ends the same way, at every queue depth.
+  // A task file's requests are the kept file's requests moved to pages of
+  // the scratch file: same bytes, count, order and verdicts.
   const FaultRow rows[] = {
       {"transient read", "disk_read:op=3:times=2", false, false, 2, false},
       {"exhausted read", "disk_read:op=3:times=4", false, true, 4, false},
@@ -487,8 +575,7 @@ TEST(PipelineFault, SameFaultPlanSameOutcomePipelinedOrNot) {
   };
   for (const auto& row : rows) {
     SCOPED_TRACE(row.name);
-    const auto sync = run_fault_row(row, 0);
-    const auto pipe = run_fault_row(row, 2);
+    const auto sync = run_fault_row(row, 0, io::FileKind::kKept);
     EXPECT_EQ(sync.injected, row.expected_injected);
     if (row.gives_up) {
       EXPECT_NE(sync.error.find("DiskFault"), std::string::npos);
@@ -505,16 +592,25 @@ TEST(PipelineFault, SameFaultPlanSameOutcomePipelinedOrNot) {
       EXPECT_NE(sync.error_again.find("after the stream failed"),
                 std::string::npos);
     }
-    EXPECT_EQ(sync.read, pipe.read);
-    EXPECT_EQ(sync.disk, pipe.disk);
-    EXPECT_EQ(sync.error, pipe.error);
-    EXPECT_EQ(sync.error_again, pipe.error_again);
-    EXPECT_EQ(sync.injected, pipe.injected);
-    EXPECT_EQ(sync.stats.read_ops, pipe.stats.read_ops);
-    EXPECT_EQ(sync.stats.write_ops, pipe.stats.write_ops);
-    EXPECT_EQ(sync.stats.bytes_read, pipe.stats.bytes_read);
-    EXPECT_EQ(sync.stats.bytes_written, pipe.stats.bytes_written);
-    EXPECT_EQ(sync.counters, pipe.counters);
+    for (const auto kind : {io::FileKind::kKept, io::FileKind::kScratch}) {
+      for (const std::size_t depth : {0u, 2u}) {
+        if (kind == io::FileKind::kKept && depth == 0) continue;
+        SCOPED_TRACE(testing::Message()
+                     << (kind == io::FileKind::kKept ? "kept" : "task")
+                     << " file, depth " << depth);
+        const auto other = run_fault_row(row, depth, kind);
+        EXPECT_EQ(sync.read, other.read);
+        EXPECT_EQ(sync.disk, other.disk);
+        EXPECT_EQ(sync.error, other.error);
+        EXPECT_EQ(sync.error_again, other.error_again);
+        EXPECT_EQ(sync.injected, other.injected);
+        EXPECT_EQ(sync.stats.read_ops, other.stats.read_ops);
+        EXPECT_EQ(sync.stats.write_ops, other.stats.write_ops);
+        EXPECT_EQ(sync.stats.bytes_read, other.stats.bytes_read);
+        EXPECT_EQ(sync.stats.bytes_written, other.stats.bytes_written);
+        EXPECT_EQ(sync.counters, other.counters);
+      }
+    }
   }
 }
 

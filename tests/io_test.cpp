@@ -2,21 +2,21 @@
 // streaming, I/O accounting, and the memory budget.
 
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 
 #include <cstdint>
 #include <deque>
 #include <filesystem>
 #include <iterator>
 #include <numeric>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "io/local_disk.hpp"
 #include "io/memory_budget.hpp"
 #include "io/pipeline.hpp"
 #include "io/scratch.hpp"
+#include "io/scratch_file.hpp"
 #include "mp/clock.hpp"
 #include "mp/cost_model.hpp"
 
@@ -130,19 +130,6 @@ TEST_F(DiskFixture, WriterBlocksBecomeRequests) {
   EXPECT_EQ(disk.stats().read_ops, 4u);
 }
 
-TEST_F(DiskFixture, WriterAppendModeExtendsFile) {
-  {
-    BlockWriter<int> w(disk, "app.bin", 16);
-    w.append(1);
-  }
-  {
-    BlockWriter<int> w(disk, "app.bin", 16, {}, /*append=*/true);
-    w.append(2);
-  }
-  auto all = disk.read_file<int>("app.bin");
-  EXPECT_EQ(all, (std::vector<int>{1, 2}));
-}
-
 TEST_F(DiskFixture, EmptyStreamYieldsNoBlocks) {
   { BlockWriter<int> w(disk, "empty.bin", 8); }
   BlockReader<int> r(disk, "empty.bin", 8);
@@ -156,137 +143,214 @@ TEST_F(DiskFixture, BytesOnDiskTracksContent) {
   EXPECT_EQ(arena.bytes_on_disk(), 4096u);
 }
 
-// ---- Recycled inodes: remove() keeps emptied files for new names ----
+// ---- Task files: pages of the disk's one scratch file ----
 
-ino_t inode_of(const fs::path& p) {
-  struct stat st {};
-  EXPECT_EQ(::stat(p.c_str(), &st), 0) << p;
-  return st.st_ino;
-}
+constexpr auto kScratch = FileKind::kScratch;
+constexpr std::size_t kPage = ScratchFile::kPageBytes;
 
 std::size_t entries(const fs::path& dir) {
   return static_cast<std::size_t>(
       std::distance(fs::directory_iterator(dir), fs::directory_iterator{}));
 }
 
-TEST_F(DiskFixture, RemoveKeepsTheInodeAsAnEmptyFreeFile) {
-  disk.write_file<int>("a.bin", std::vector<int>(1000, 7));
-  const auto ino = inode_of(disk.path_of("a.bin"));
+/// Pages of the scratch file, live or free.
+std::size_t extent(const LocalDisk& disk) {
+  return disk.scratch().live_pages() + disk.scratch().free_pages();
+}
+
+TEST_F(DiskFixture, TaskFilesLeaveNoEntryInTheDirectory) {
+  disk.write_file<int>("a.bin", std::vector<int>(3000, 7), kScratch);
+  {
+    BlockWriter<int> w(disk, "b.bin", 16, {}, kScratch);
+    for (int i = 0; i < 100; ++i) w.append(i);
+  }
+  EXPECT_TRUE(disk.exists("a.bin"));
+  EXPECT_EQ(disk.file_records<int>("b.bin"), 100u);
+  EXPECT_EQ(disk.read_file<int>("a.bin"), std::vector<int>(3000, 7));
+  // The scratch file was unlinked when it was created.
+  EXPECT_EQ(entries(disk.dir()), 0u);
+  EXPECT_EQ(disk.scratch().files(), 2u);
+  EXPECT_EQ(disk.scratch().live_pages(), 3u + 1u);
+  EXPECT_EQ(disk.scratch().live_bytes(), (3000u + 100u) * sizeof(int));
   disk.remove("a.bin");
+  disk.remove("b.bin");
   EXPECT_FALSE(disk.exists("a.bin"));
-  EXPECT_EQ(disk.free_files(), 1u);
-  ASSERT_EQ(entries(disk.dir()), 1u);
-  const auto free_file = fs::directory_iterator(disk.dir())->path();
-  EXPECT_TRUE(free_file.filename().string().starts_with(".free."));
-  EXPECT_EQ(fs::file_size(free_file), 0u);
-  EXPECT_EQ(inode_of(free_file), ino);
+  EXPECT_EQ(disk.scratch().live_pages(), 0u);
+  EXPECT_EQ(disk.scratch().free_pages(), 4u);
 }
 
 TEST_F(DiskFixture, RemovingAMissingNameIsANoOp) {
   disk.remove("nope.bin");
-  EXPECT_EQ(disk.free_files(), 0u);
+  EXPECT_EQ(extent(disk), 0u);
   EXPECT_EQ(entries(disk.dir()), 0u);
 }
 
-TEST_F(DiskFixture, WriteFileToANewNameDrawsFromThePool) {
-  disk.write_file<int>("a.bin", std::vector<int>(1000, 7));
-  const auto ino = inode_of(disk.path_of("a.bin"));
+TEST_F(DiskFixture, RemovedOrMissingNameReadsAsAbsent) {
+  disk.write_file<int>("task.bin", std::vector<int>(10, 1), kScratch);
+  disk.write_file<int>("kept.bin", std::vector<int>(10, 2));
+  disk.remove("task.bin");
+  disk.remove("kept.bin");
+  for (const char* name : {"task.bin", "kept.bin", "never.bin"}) {
+    SCOPED_TRACE(name);
+    EXPECT_FALSE(disk.exists(name));
+    EXPECT_EQ(disk.file_bytes(name), 0u);
+    EXPECT_THROW((void)disk.read_file<int>(name), std::runtime_error);
+    EXPECT_THROW((void)BlockReader<int>(disk, name, 4), std::runtime_error);
+  }
+  EXPECT_EQ(disk.scratch().files(), 0u);
+  EXPECT_EQ(entries(disk.dir()), 0u);
+}
+
+TEST_F(DiskFixture, ANewTaskFileTakesFreedPagesInTheirOrder) {
+  // Three pages freed by one file come back, first page first, so the new
+  // file's bytes lie in one run of the scratch file as the old one's did.
+  disk.write_file<int>("a.bin", std::vector<int>(3 * kPage / 4, 7), kScratch);
+  const auto old_pages = disk.scratch().find("a.bin")->pages;
   disk.remove("a.bin");
-  disk.write_file<int>("b.bin", std::vector<int>{1, 2, 3});
-  EXPECT_EQ(inode_of(disk.path_of("b.bin")), ino);
-  EXPECT_EQ(disk.free_files(), 0u);
-  EXPECT_EQ(entries(disk.dir()), 1u);
-  EXPECT_EQ(disk.read_file<int>("b.bin"), (std::vector<int>{1, 2, 3}));
+  disk.write_file<int>("b.bin", std::vector<int>(3 * kPage / 4 - 1, 5),
+                       kScratch);
+  EXPECT_EQ(disk.scratch().find("b.bin")->pages, old_pages);
+  EXPECT_EQ(extent(disk), 3u);
+  EXPECT_EQ(disk.read_file<int>("b.bin"),
+            std::vector<int>(3 * kPage / 4 - 1, 5));
 }
 
-TEST_F(DiskFixture, ExistingNameIsTruncatedNotSwapped) {
+TEST(ScratchFile, AdjacentPagesCoalesceIntoOneRun) {
+  ScratchArena arena("io_runs", 1);
+  ScratchFile scratch(arena.rank_dir(0));
+  ScratchFile::Pages a;
+  std::vector<ByteRun> runs;
+  scratch.map(a, 0, 3 * kPage, runs);  // pages 0, 1, 2
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].offset, 0u);
+  EXPECT_EQ(runs[0].bytes, 3 * kPage);
+  ScratchFile::Pages b;
+  runs.clear();
+  scratch.map(b, 0, kPage, runs);  // page 3
+  scratch.release(a);              // frees 2, 1, 0: page 0 is taken next
+  runs.clear();
+  scratch.map(b, kPage - 10, 2 * kPage, runs);  // pages 3 | 0, 1
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].offset, 4 * kPage - 10);
+  EXPECT_EQ(runs[0].bytes, 10u);
+  EXPECT_EQ(runs[1].offset, 0u);
+  EXPECT_EQ(runs[1].bytes, 2 * kPage - 10);
+  EXPECT_EQ(b.pages, (std::vector<std::uint64_t>{3, 0, 1}));
+  EXPECT_EQ(scratch.live_pages(), 3u);
+  EXPECT_EQ(scratch.free_pages(), 1u);
+}
+
+TEST_F(DiskFixture, KeptFileWrittenOverAnExistingNameIsReplaced) {
+  // A link to the old inode keeps its bytes: the new file is a new inode,
+  // not the old one truncated in place.
   disk.write_file<int>("a.bin", std::vector<int>(1000, 7));
-  disk.write_file<int>("gone.bin", std::vector<int>(10, 1));
-  disk.remove("gone.bin");
-  const auto ino = inode_of(disk.path_of("a.bin"));
+  fs::create_hard_link(disk.path_of("a.bin"), disk.path_of("a.link"));
   disk.write_file<int>("a.bin", std::vector<int>{4, 5});
-  EXPECT_EQ(inode_of(disk.path_of("a.bin")), ino);
-  EXPECT_EQ(disk.free_files(), 1u);
   EXPECT_EQ(disk.read_file<int>("a.bin"), (std::vector<int>{4, 5}));
+  EXPECT_EQ(disk.read_file<int>("a.link"), std::vector<int>(1000, 7));
+  // A stream replaces its name the same way.
+  for (const int v : {9, 3}) {
+    if (v == 3) {
+      fs::create_hard_link(disk.path_of("b.bin"), disk.path_of("b.link"));
+    }
+    BlockWriter<int> w(disk, "b.bin", 16);
+    w.append(v);
+  }
+  EXPECT_EQ(disk.read_file<int>("b.bin"), std::vector<int>{3});
+  EXPECT_EQ(disk.read_file<int>("b.link"), std::vector<int>{9});
 }
 
-TEST_F(DiskFixture, BytesOnDiskIgnoresFreeFiles) {
-  disk.write_file<std::byte>("big.bin", std::vector<std::byte>(4096));
-  disk.remove("big.bin");
-  EXPECT_EQ(disk.free_files(), 1u);
+TEST_F(DiskFixture, BytesOnDiskCountsKeptFilesOnly) {
+  disk.write_file<std::byte>("big.bin", std::vector<std::byte>(4096),
+                             kScratch);
+  EXPECT_EQ(disk.scratch().live_bytes(), 4096u);
   EXPECT_EQ(arena.bytes_on_disk(), 0u);
   disk.write_file<std::byte>("small.bin", std::vector<std::byte>(100));
   EXPECT_EQ(arena.bytes_on_disk(), 100u);
 }
 
-TEST_F(DiskFixture, ChurnWithTwoLiveFilesKeepsAtMostThreeEntries) {
-  // 1,000 partition-like cycles: stream a new file, then remove the older
-  // of the two live ones.  Only the first three files are ever created.
+TEST_F(DiskFixture, ChurnWithTwoLiveTaskFilesKeepsTheScratchFileAtThreePages) {
+  // 1,000 partition-like cycles: stream a new one-page file, then remove
+  // the older of the two live ones.  The scratch file never grows past the
+  // three pages live at once.
   std::deque<std::string> live;
   std::size_t most = 0;
   for (int i = 0; i < 1000; ++i) {
     live.push_back("f" + std::to_string(i));
     {
-      BlockWriter<int> w(disk, live.back(), 16);
+      BlockWriter<int> w(disk, live.back(), 16, {}, kScratch);
       for (int k = 0; k < 20 + i % 7; ++k) w.append(i);
     }
     if (live.size() > 2) {
       disk.remove(live.front());
       live.pop_front();
     }
-    most = std::max(most, entries(disk.dir()));
+    most = std::max(most, extent(disk));
   }
-  EXPECT_LE(most, 3u);
+  EXPECT_EQ(most, 3u);
+  EXPECT_EQ(entries(disk.dir()), 0u);
   EXPECT_EQ(disk.read_file<int>("f999"), std::vector<int>(20 + 999 % 7, 999));
   EXPECT_EQ(disk.read_file<int>("f998"), std::vector<int>(20 + 998 % 7, 998));
 }
 
-TEST(InodePool, ASecondDiskOnTheDirectoryCreatesNoNewInode) {
-  ScratchArena arena("io_adopt", 1);
+TEST(ScratchFile, TaskFilesVanishWithTheirDisk) {
+  // Two disks on one directory each have their own scratch file; a task
+  // file is gone once its disk is, and the directory holds only kept files.
+  ScratchArena arena("io_two_disks", 1);
   mp::CostModel cost{mp::Machine{}};
   mp::Clock clock;
-  std::set<ino_t> inodes;
+  LocalDisk second(arena.rank_dir(0), &cost, &clock);
   {
     LocalDisk first(arena.rank_dir(0), &cost, &clock);
-    for (int i = 0; i < 8; ++i) {
-      const auto name = "a" + std::to_string(i);
-      first.write_file<int>(name, std::vector<int>(100, i));
-      inodes.insert(inode_of(first.path_of(name)));
-    }
-    for (int i = 0; i < 8; ++i) first.remove("a" + std::to_string(i));
+    first.write_file<int>("t", std::vector<int>(100, 1), kScratch);
+    second.write_file<int>("t", std::vector<int>(50, 2), kScratch);
+    first.write_file<int>("k", std::vector<int>{3});
+    EXPECT_EQ(first.read_file<int>("t"), std::vector<int>(100, 1));
+    EXPECT_EQ(second.read_file<int>("t"), std::vector<int>(50, 2));
   }
-  LocalDisk second(arena.rank_dir(0), &cost, &clock);
-  EXPECT_EQ(second.free_files(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    const auto name = "b" + std::to_string(i);
-    if (i % 2 == 0) {
-      second.write_file<int>(name, std::vector<int>{i});
-    } else {
-      BlockWriter<int> w(second, name, 16);
-      w.append(i);
-    }
-    EXPECT_TRUE(inodes.contains(inode_of(second.path_of(name)))) << name;
-    EXPECT_EQ(second.read_file<int>(name), std::vector<int>{i});
-  }
-  EXPECT_EQ(second.free_files(), 0u);
-  EXPECT_EQ(entries(arena.rank_dir(0)), 8u);
+  LocalDisk third(arena.rank_dir(0), &cost, &clock);
+  EXPECT_FALSE(third.exists("t"));
+  EXPECT_EQ(third.read_file<int>("k"), std::vector<int>{3});
+  EXPECT_EQ(second.read_file<int>("t"), std::vector<int>(50, 2));
+  EXPECT_EQ(entries(arena.rank_dir(0)), 1u);
 }
 
-TEST(InodePool, TornWriteIntoARecycledInodeLeavesExactlyItsPrefix) {
+TEST(ScratchFile, TornWriteIntoReusedPagesLeavesExactlyItsPrefix) {
   ScratchArena arena("io_torn", 1);
   mp::CostModel cost{mp::Machine{}};
   mp::Clock clock;
   const auto plan = fault::FaultPlan::parse("disk_write:op=2:torn");
   fault::RankFault f(&plan, 0, &clock);
   LocalDisk disk(arena.rank_dir(0), &cost, &clock, {}, &f);
-  disk.write_file<int>("old.bin", std::vector<int>(4161, -1));  // write op 1
+  disk.write_file<int>("old.bin", std::vector<int>(4161, -1),
+                       kScratch);  // write op 1
   disk.remove("old.bin");
   std::vector<int> payload(100);
   std::iota(payload.begin(), payload.end(), 0);
-  EXPECT_THROW(disk.write_file<int>("new.bin", payload), fault::DiskFault);
-  EXPECT_EQ(disk.free_files(), 0u);
+  EXPECT_THROW(disk.write_file<int>("new.bin", payload, kScratch),
+               fault::DiskFault);
+  EXPECT_EQ(disk.file_bytes("new.bin"), 50 * sizeof(int));
   const auto on_disk = disk.read_file<int>("new.bin");
   EXPECT_EQ(on_disk, std::vector<int>(payload.begin(), payload.begin() + 50));
+  EXPECT_EQ(disk.scratch().live_pages(), 1u);
+}
+
+TEST(ScratchFile, WholeFileWriteThatGivesUpLeavesTheOldContents) {
+  ScratchArena arena("io_give_up", 1);
+  mp::CostModel cost{mp::Machine{}};
+  mp::Clock clock;
+  const auto plan = fault::FaultPlan::parse("disk_write:op=2:times=4");
+  fault::RankFault f(&plan, 0, &clock);
+  LocalDisk disk(arena.rank_dir(0), &cost, &clock, {}, &f);
+  const std::vector<int> old_bytes(2000, 11);
+  disk.write_file<int>("a.dat", old_bytes, kScratch);  // write op 1
+  EXPECT_THROW(disk.write_file<int>("a.dat", std::vector<int>(3000, -1),
+                                    kScratch),
+               fault::DiskFault);
+  EXPECT_EQ(disk.read_file<int>("a.dat"), old_bytes);
+  // The new pages went back to the free list.
+  EXPECT_EQ(disk.scratch().live_pages(), 2u);
+  EXPECT_EQ(disk.scratch().free_pages(), 3u);
 }
 
 TEST(MemoryBudget, FitsAndBlockSizing) {

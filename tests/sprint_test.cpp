@@ -221,6 +221,8 @@ TEST(Sprint, CleansUpListFiles) {
   AgrawalGenerator gen({.function = 2, .seed = 5});
   data::DatasetPartition part(2000, p);
   std::uint64_t train_bytes = 0;
+  std::size_t pages_live = 0;
+  std::size_t pages_freed = 0;
   std::mutex mu;
   rt.run([&](mp::Comm& comm) {
     io::LocalDisk disk(arena.rank_dir(comm.rank()), &comm.cost(),
@@ -233,9 +235,14 @@ TEST(Sprint, CleansUpListFiles) {
     }
     SprintBuilder builder({});
     (void)builder.train(comm, disk, "train.dat");
+    std::lock_guard lock(mu);
+    pages_live += disk.scratch().live_pages();
+    pages_freed += disk.scratch().free_pages();
   });
-  // Only the training files survive.
+  // Only the training files survive, and every list file's pages are free.
   EXPECT_EQ(arena.bytes_on_disk(), train_bytes);
+  EXPECT_EQ(pages_live, 0u);
+  EXPECT_GT(pages_freed, 0u);
 }
 
 }  // namespace
